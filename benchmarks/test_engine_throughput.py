@@ -27,8 +27,8 @@ from benchmarks.conftest import SEED, scaled
 
 N_INJECTIONS = scaled(600)
 #: Acceptance floor for the golden artifact cache: a warm 4-worker run must
-#: beat the cacheless 4-worker run by this factor (zero captures + retired
-#: translation pre-warm vs full capture cost).
+#: beat the cacheless 4-worker run by this factor (zero captures vs full
+#: capture cost).
 TARGET_WARM_SPEEDUP = 1.5
 OUTPUT = Path(
     os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_engine.json")

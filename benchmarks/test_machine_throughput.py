@@ -12,18 +12,18 @@ The harness deliberately runs unmodified on the pre-optimization code
 lock-step batch APIs), so every committed baseline was produced by this
 exact file against its pre-change tree.  An untimed warm-up pass runs the
 whole workload once first, so the timed region measures the steady state
-campaigns actually see (production pool workers are pre-warmed at fork
-and the translation cache is process-wide); the baselines were all
-re-measured through the same warm-up.  Three gates: the
+campaigns actually see (the translation cache is process-wide, so a
+worker's later shards run on blocks its earlier shards compiled); the
+baselines were all re-measured through the same warm-up.  Three gates: the
 checkpoint/fast-forward work must hold ≥ 3× the interpreter-era baseline,
 the basic-block translation cache must hold ≥ 1.5× the pre-translation
 tree (plus carry > 50% of retired instructions, so the cache can't "pass"
 by staying cold), and lock-step twin batching must hold ≥ 2× the
 pre-lockstep tree.  The summary records translation telemetry (blocks
 compiled, block-dispatch hit rate, instruction mix) and a ``lockstep``
-section (twins batched, dead/peel split, synthesized instructions, proved
-hangs).  CI runs this as a non-blocking perf smoke because absolute
-throughput varies across machines.
+section (twins batched, dead/peel split, synthesized instructions).  CI
+runs this as a non-blocking perf smoke because absolute throughput varies
+across machines.
 """
 
 from __future__ import annotations
@@ -161,10 +161,10 @@ def _aged_machine() -> XenHypervisor:
 def test_machine_trial_throughput():
     # Untimed warm-up: one full pass on a throwaway machine, so the timed
     # region below measures the steady state campaigns actually see.
-    # Production pool workers are pre-warmed at fork (engine/pool.py
-    # ``warm_worker``) and the translation cache is process-wide, so heat
-    # carries across machines; without this pass the measurement would be
-    # dominated by one-time trace compilation and heat-gate crossings.
+    # The translation cache is process-wide, so heat carries across
+    # machines and across a worker's shards; without this pass the
+    # measurement would be dominated by one-time trace compilation and
+    # heat-gate crossings.
     _run_workload(_aged_machine())
 
     hv = _aged_machine()
@@ -173,10 +173,6 @@ def test_machine_trial_throughput():
 
     ff = getattr(hv, "ff_stats", None)
     ls = getattr(hv, "lockstep_stats", None)
-    proved_hangs = sum(getattr(c, "proved_hangs", 0) for c in hv.cores)
-    proved_hang_instructions = sum(
-        getattr(c, "proved_hang_instructions", 0) for c in hv.cores
-    )
     # Block-cache telemetry, feature-detected so the harness still runs
     # against the pre-translation tree to (re)measure its baseline.
     tstats = (
@@ -228,8 +224,6 @@ def test_machine_trial_throughput():
                 "peel_rate": ls["peeled_twins"] / max(1, ls["twins"]),
                 "synthesized_instructions": ls["synthesized_instructions"],
                 "read_ff_instructions": ls["read_ff_instructions"],
-                "proved_hangs": proved_hangs,
-                "proved_hang_instructions": proved_hang_instructions,
             }
             if ls and ls["twins"]
             else None
@@ -280,8 +274,6 @@ def test_machine_trial_throughput():
               f"{lk['twin_batches']} batches — {lk['dead_twins']} dead "
               f"({lk['dead_rate']:.0%}), {lk['peeled_twins']} peeled; "
               f"{lk['synthesized_instructions']:,} instructions synthesized")
-        print(f"  proved hangs:      {lk['proved_hangs']} "
-              f"({lk['proved_hang_instructions']:,} instructions skipped)")
     if BASELINE_TRIALS_PER_SEC:
         speedup = summary["speedup_vs_baseline"]
         print(f"  vs baseline:       {speedup:9.2f}x "

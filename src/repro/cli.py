@@ -282,9 +282,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             (tstats["block_executions"] - tstats["blocks_compiled"])
             / tstats["block_executions"]
         )
-        print(f"translation cache: {tstats['blocks_compiled']} blocks compiled "
-              f"({tstats['blocks_prewarmed']} pre-warmed, "
-              f"{tstats['blocks_compiled_cold']} cold), "
+        print(f"translation cache: {tstats['blocks_compiled']} blocks compiled, "
               f"hit rate {hit_rate:.1%}, "
               f"{share:.1%} of instructions translated")
     lstats = {k: v - pre_lockstep[k] for k, v in lockstep.stats().items()}
@@ -331,11 +329,21 @@ def _report_records(records) -> int:
     for klass, (detected, total) in long_latency_breakdown(records).items():
         rate = f"{detected / total:.1%}" if total else "---"
         print(f"  {klass.value:<16} {detected}/{total} ({rate})")
+    # A small campaign can finish with no detections or nothing undetected;
+    # the analysis raises on such empty sets, so the report says so instead.
     print("\nFig. 10 — latency CDF")
-    print(LatencyStudy.from_records(records).table([100, 300, 500, 700, 1000]))
+    try:
+        print(LatencyStudy.from_records(records).table([100, 300, 500, 700, 1000]))
+    except CampaignConfigError:
+        print("  (no detected faults with latencies)")
     print("\nTable II — undetected faults")
-    for kind, share in undetected_breakdown(records).items():
-        print(f"  {kind.value:<16} {share:6.1%}")
+    try:
+        breakdown = undetected_breakdown(records)
+    except CampaignConfigError:
+        print("  (no undetected manifested faults)")
+    else:
+        for kind, share in breakdown.items():
+            print(f"  {kind.value:<16} {share:6.1%}")
     return 0
 
 
@@ -429,6 +437,26 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` accepting integers >= ``minimum``, so a bad
+    count exits 2 before detector training starts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-xentry",
@@ -469,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("campaign", help="fault-injection campaign (Figs. 8-10)", parents=[common])
-    p.add_argument("--injections", type=int, default=6000)
+    p.add_argument("--injections", type=_int_at_least(1), default=6000)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--output", metavar="PATH",
                    help="write trial records as JSON lines")
@@ -509,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability of a second soft error striking during "
                         "a recovery attempt (deterministic per trial/attempt; "
                         "default: 0)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for the campaign engine "
                         "(default: 1, serial; results are bit-identical)")
     p.add_argument("--journal", metavar="PATH",
                    help="journal finished shards to PATH (crash-safe JSONL)")
     p.add_argument("--resume", action="store_true",
                    help="resume from --journal, skipping completed shards")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=_int_at_least(0), default=2,
                    help="per-shard retry budget before quarantine (default: 2; "
                         "a degraded campaign exits with code 3)")
     p.add_argument("--shard-timeout", type=float, default=None, metavar="SECONDS",

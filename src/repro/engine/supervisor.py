@@ -227,7 +227,6 @@ class ShardSupervisor:
         chaos: ChaosPolicy | None = None,
         telemetry: EngineTelemetry | None = None,
         journal: TrialJournal | None = None,
-        warm: Callable | None = None,
         segments=None,
     ) -> None:
         if shard_timeout is not None and shard_timeout <= 0:
@@ -241,11 +240,6 @@ class ShardSupervisor:
         self.chaos = chaos
         self.telemetry = telemetry or EngineTelemetry()
         self.journal = journal
-        #: Optional pool-worker initializer (e.g. pool.warm_worker), called
-        #: once per worker process with the campaign config before any shard
-        #: runs there.  Injected like ``execute`` to stay pickle-friendly
-        #: and import-cycle-free.
-        self.warm = warm
         #: Optional shared-memory golden-segment provider (the engine's
         #: ``_ShardSegments``): ``acquire(shard)`` publishes the shard's
         #: cached golden artifacts and returns the segment name (or ``None``),
@@ -255,16 +249,6 @@ class ShardSupervisor:
         #: cycle never republishes or leaks.
         self.segments = segments
         self._state = _SupervisedState()
-
-    def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """A worker pool with the pre-warm initializer attached (if any)."""
-        if self.warm is None:
-            return ProcessPoolExecutor(max_workers=max_workers)
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=self.warm,
-            initargs=(self.config,),
-        )
 
     # -- public entry ---------------------------------------------------------
 
@@ -320,7 +304,7 @@ class ShardSupervisor:
     def _run_pool(self, pending, done) -> None:
         queue: list[_Run] = [_Run(shard=s, attempt=0) for s in pending]
         inflight: dict = {}
-        pool = self._make_pool(min(self.jobs, len(pending)))
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
         ok = False
         try:
             while queue or inflight:
@@ -458,7 +442,7 @@ class ShardSupervisor:
             # Innocent bystanders: their work died with the pool, but the
             # hang was not theirs — re-run the same attempt, no charge.
             queue.append(_Run(shard=run.shard, attempt=run.attempt))
-        return self._make_pool(self.jobs)
+        return ProcessPoolExecutor(max_workers=self.jobs)
 
     def _recover_lost(self, pool, lost, queue, inflight, *, kind):
         """Rebuild a broken pool and re-enqueue every in-flight shard.
@@ -480,7 +464,7 @@ class ShardSupervisor:
         pool.shutdown(wait=False, cancel_futures=True)
         for run in victims:
             self._requeue_failed(run, "worker_lost", "process pool broken", queue)
-        return self._make_pool(self.jobs)
+        return ProcessPoolExecutor(max_workers=self.jobs)
 
     @staticmethod
     def _kill_workers(pool) -> None:

@@ -398,13 +398,9 @@ def run_benchmark_groups(
     # Fold the execution-mix counters into hv.ff_stats so callers (engine
     # shards, benchmarks) see translation telemetry without extra plumbing.
     hv.translation_stats()
-    # Same for the lock-step batch ledger and the runaway-loop prover's
-    # counters: one flat dict carries the whole execution-strategy mix.
+    # Same for the lock-step batch ledger: one flat dict carries the whole
+    # execution-strategy mix.
     hv.ff_stats.update(hv.lockstep_stats)
-    hv.ff_stats["proved_hangs"] = sum(c.proved_hangs for c in hv.cores)
-    hv.ff_stats["proved_hang_instructions"] = sum(
-        c.proved_hang_instructions for c in hv.cores
-    )
     if executor is not None:
         # Recovery counters travel the same flat ledger the engine's shard
         # telemetry already aggregates.

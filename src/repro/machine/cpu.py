@@ -88,19 +88,6 @@ assert _TERMINATOR_MIN == len(OP_INDEX) - 2  # VMENTRY, HALT close the enum
 # translated-block codegen (see repro.machine.exceptions.raise_stack_fault).
 _raise_stack_fault = raise_stack_fault
 
-# Runaway-loop probe tuning (see repro.machine.loopproof).  A full-budget run
-# that retires _PROBE_AT instructions is suspected of spinning: the dispatch
-# loop records a _PROBE_WINDOW address history, looks for a rip-periodic
-# cycle, measures its per-period register deltas over two real periods, and
-# asks the induction prover to certify the hang.  Failed attempts re-arm
-# _PROBE_RETRY instructions later, at most _PROBE_MAX_ATTEMPTS times.  All
-# of this is invisible to outcomes: proofs are exact and bails keep
-# executing concretely.
-_PROBE_AT = 1_024
-_PROBE_WINDOW = 320
-_PROBE_RETRY = 2_048
-_PROBE_MAX_ATTEMPTS = 3
-
 
 #: Deterministic CPUID leaves: leaf -> (eax, ebx, ecx, edx).  Values echo a
 #: Xeon-like identification block; what matters for the reproduction is that
@@ -272,13 +259,6 @@ class CPUCore:
         #: Execute through cached translated blocks where possible (the
         #: interpreter remains the oracle; ``translate=False`` forces it).
         self.translate = translate
-        #: Attempt exact runaway-loop proofs when a full-budget run spins
-        #: (see repro.machine.loopproof; ``False`` forces concrete execution).
-        self.loop_proof = True
-        #: Watchdog outcomes settled by induction proof instead of execution,
-        #: and the instructions those proofs skipped (cumulative telemetry).
-        self.proved_hangs = 0
-        self.proved_hang_instructions = 0
         # Cumulative execution-mix telemetry (never reset by checkpoints or
         # hypervisor resets; see XenHypervisor.translation_stats).
         self.translated_instructions = 0
@@ -687,28 +667,6 @@ class CPUCore:
         # watchdog budget share one threshold; the slow path disambiguates,
         # with the budget raise winning when both trip at the same count.
         pause = budget if stop_at is None or stop_at > budget else stop_at
-        # Runaway-loop probe (repro.machine.loopproof): armed only for
-        # full-budget runs with light tracing — ladder slices observe
-        # mid-run state and full traces observe every address, so both must
-        # execute concretely.  The probe shares the loop-top ``pause``
-        # comparison; ``real_pause`` keeps the genuine stop threshold.
-        real_pause = pause
-        probe_state = (
-            1
-            if self.loop_proof and stop_at is None and light and enabled
-            and pause > _PROBE_AT + tracer.count
-            else 0
-        )
-        if probe_state:
-            pause = tracer.count + _PROBE_AT
-        probe_hist: list[int] | None = None
-        probe_period: list[int] = []
-        probe_anchor = 0
-        probe_p = 0
-        probe_s0: list[int] = []
-        probe_s1: list[int] = []
-        probe_attempts = 0
-        proved_skip = 0
         # Constants rebound as locals (LOAD_FAST beats LOAD_GLOBAL in the
         # per-retirement opcode comparison chain below).
         m64 = MASK64
@@ -776,103 +734,7 @@ class CPUCore:
                 if count >= pause:
                     if count >= budget:
                         raise SimulationLimitExceeded(budget)
-                    if not probe_state:
-                        return None
-                    # -- runaway-loop probe state machine (count < budget,
-                    # so this trip belongs to the probe, not the caller) --
-                    advanced = False
-                    if probe_state == 1:
-                        # Suspicion threshold: start recording a window of
-                        # retirement addresses (a pending flip or live
-                        # watch needs per-instruction visibility — retry
-                        # once it resolves).
-                        if not injecting and not watching:
-                            probe_hist = []
-                            probe_state = 2
-                            pause = min(real_pause, count + _PROBE_WINDOW)
-                            advanced = True
-                    elif probe_state == 2:
-                        # Window complete (unless a bulk retire overshot
-                        # it): look for a rip-periodic cycle the prover
-                        # can rotate to a flags-clean anchor.
-                        from repro.machine import loopproof as _loopproof
-
-                        period = (
-                            _loopproof.find_period(probe_hist, rvals[i_rip])
-                            if count == pause and probe_hist is not None
-                            else None
-                        )
-                        probe_hist = None
-                        if period is not None:
-                            rot = _loopproof.plan_rotation(program, period)
-                            if rot is not None:
-                                probe_period = period[rot:] + period[:rot]
-                                probe_anchor = probe_period[0]
-                                probe_p = len(period)
-                                if rot == 0:
-                                    probe_s0 = rvals[:]
-                                    probe_state = 4
-                                    pause = min(real_pause, count + probe_p)
-                                else:
-                                    probe_state = 3
-                                    pause = min(real_pause, count + rot)
-                                advanced = True
-                    elif probe_state == 3:
-                        # Rotated to the anchor: snapshot S0.
-                        if count == pause and rvals[i_rip] == probe_anchor:
-                            probe_s0 = rvals[:]
-                            probe_state = 4
-                            pause = min(real_pause, count + probe_p)
-                            advanced = True
-                    elif probe_state == 4:
-                        # One real period later: snapshot S1.
-                        if count == pause and rvals[i_rip] == probe_anchor:
-                            probe_s1 = rvals[:]
-                            probe_state = 5
-                            pause = min(real_pause, count + probe_p)
-                            advanced = True
-                    else:  # probe_state == 5: S2 — deltas, then the proof.
-                        if count == pause and rvals[i_rip] == probe_anchor:
-                            from repro.machine import loopproof as _loopproof
-
-                            s0, s1 = probe_s0, probe_s1
-                            if _loopproof.prove_runaway(
-                                program,
-                                self.memory,
-                                probe_period,
-                                rvals[:],
-                                [(b - a) & m64 for a, b in zip(s0, s1)],
-                                [(b - a) & m64 for a, b in zip(s1, rvals)],
-                                budget - count,
-                            ):
-                                # Certified: the cycle retires one
-                                # instruction per address until the budget.
-                                # Only the final count is architecturally
-                                # observable past a watchdog kill — no
-                                # checkpoint is taken and the classifier
-                                # reads tracer.count alone — so jump
-                                # straight to the exhausted budget.
-                                skipped = budget - count
-                                proved_skip = skipped
-                                count = budget
-                                p_inst += skipped
-                                tsc += tsc_step * skipped
-                                self.proved_hangs += 1
-                                self.proved_hang_instructions += skipped
-                                raise SimulationLimitExceeded(budget)
-                    if not advanced:
-                        probe_attempts += 1
-                        probe_hist = None
-                        if probe_attempts >= _PROBE_MAX_ATTEMPTS:
-                            probe_state = 0
-                            pause = real_pause
-                        else:
-                            probe_state = 1
-                            pause = min(real_pause, count + _PROBE_RETRY)
-                    block_limit = (
-                        inj_index if injecting and inj_index < pause else pause
-                    )
-                    continue
+                    return None
                 rip = rvals[i_rip]
                 if injecting and count >= inj_index:
                     self._apply_injection(count)
@@ -941,8 +803,6 @@ class CPUCore:
                                 self._assert_checks += nak
                             t_instr += n
                             t_blocks += 1
-                            if probe_hist is not None:
-                                probe_hist.extend(entry[6].addrs[:n])
                             continue
                     instr = instructions[offset >> 2]
                 else:
@@ -975,8 +835,6 @@ class CPUCore:
                     path_hash = ((path_hash ^ rip) * fnv) & m64
                     if not light:
                         addresses.append(rip)
-                if probe_hist is not None:
-                    probe_hist.append(rip)
                 p_inst += 1
                 tsc += tsc_step
                 # Inline bodies for the ops that dominate the dynamic mix
@@ -1149,7 +1007,7 @@ class CPUCore:
             self.tsc = tsc
             self.translated_instructions += t_instr
             self.block_executions += t_blocks
-            interp = count - count0 - t_instr - proved_skip
+            interp = count - count0 - t_instr
             self.interpreted_instructions += interp
             CACHE.translated_instructions += t_instr
             CACHE.block_executions += t_blocks

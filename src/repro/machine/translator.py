@@ -738,21 +738,6 @@ class TranslationCache:
         self.translated_instructions = 0
         self.interpreted_instructions = 0
         self.block_executions = 0
-        #: Blocks compiled inside a warming pass (the pool-worker
-        #: initializer); compiles beyond this count happened cold, on a
-        #: campaign's critical path.  A monotone counter, so snapshot
-        #: deltas stay meaningful even when warming runs mid-process.
-        self.blocks_prewarmed = 0
-
-    def mark_prewarmed(self, since: int = 0) -> None:
-        """Credit blocks compiled after the ``since`` count to warming.
-
-        Callers snapshot ``stats()["blocks_compiled"]`` before warming and
-        pass it here, so only the warming pass's own compiles count — in a
-        fresh pool worker ``since`` is simply 0.
-        """
-        compiled = sum(t.compiled_blocks for t in self._programs.values())
-        self.blocks_prewarmed += max(0, compiled - since)
 
     def get(self, program: Program) -> ProgramTranslation:
         """The (shared) translation for ``program``, creating it on miss."""
@@ -785,8 +770,6 @@ class TranslationCache:
             "program_hits": self.hits,
             "program_misses": self.misses,
             "blocks_compiled": compiled,
-            "blocks_prewarmed": min(self.blocks_prewarmed, compiled),
-            "blocks_compiled_cold": max(0, compiled - self.blocks_prewarmed),
             "translated_instructions": self.translated_instructions,
             "interpreted_instructions": self.interpreted_instructions,
             "block_executions": executions,

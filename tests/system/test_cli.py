@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.faults import FaultSpec
+from repro.faults.outcomes import DetectionTechnique, FailureClass, TrialRecord
+from repro.persist import save_records
 
 
 class TestParser:
@@ -126,6 +130,47 @@ class TestExecution:
         assert "QUARANTINED" in captured.err
         assert "DEGRADED:" in captured.err
         assert "shards quarantined" in captured.err
+
+    def test_campaign_reports_when_nothing_went_undetected(self, capsys):
+        """A finished campaign with no undetected manifested faults still
+        renders its whole report, Table II included, and exits 0."""
+        assert main(["campaign", "--injections", "3", "--seed", "1",
+                     "--scale", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert "Table II" in out
+        assert "(no undetected manifested faults)" in out
+
+    def test_reanalysis_without_detections_renders_report(self, capsys,
+                                                          tmp_path):
+        """Records with no detection at all: Fig. 10 says so, no traceback."""
+        path = tmp_path / "records.jsonl"
+        save_records((TrialRecord(
+            benchmark="mcf", vmer=0, fault=FaultSpec("rax", 1, 1),
+            activated=False, failure_class=FailureClass.BENIGN,
+            detected_by=DetectionTechnique.UNDETECTED, detection_latency=None,
+        ),), path)
+        assert main(["campaign", "--records-from", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "(no detected faults with latencies)" in out
+        assert "(no undetected manifested faults)" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"),
+        ("--retries", "-1"),
+        ("--injections", "0"),
+        ("--injections", "many"),
+    ])
+    def test_campaign_bad_counts_exit_2_before_training(
+        self, capsys, monkeypatch, flag, value
+    ):
+        def no_training(args):
+            raise AssertionError("detector training started")
+
+        monkeypatch.setattr(cli, "_train", no_training)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--scale", "0.02", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_campaign_resume_requires_journal(self, capsys):
         assert main(["campaign", "--resume"]) == 2
