@@ -7,7 +7,7 @@ golden-prefix fast-forward hit rate.  A machine-readable summary is written
 to ``BENCH_machine.json`` next to this file (override with
 ``REPRO_BENCH_OUTPUT``).
 
-The harness deliberately runs unmodified on the pre-optimization code
+The harness was written to run on the pre-optimization code
 (feature-detecting the ladder/fast-forward, translation-cache and
 lock-step batch APIs), so every committed baseline was produced by this
 exact file against its pre-change tree.  An untimed warm-up pass runs the
@@ -23,7 +23,8 @@ pre-lockstep tree.  The summary records translation telemetry (blocks
 compiled, block-dispatch hit rate, instruction mix) and a ``lockstep``
 section (twins batched, dead/peel split, synthesized instructions).  CI
 runs this as a non-blocking perf smoke because absolute throughput varies
-across machines.
+across machines.  Telemetry is the timed pass's growth of the counter
+ledger (:mod:`repro.counters`), which the pre-optimization trees predate.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import counters
 from repro.faults import FaultModel, capture_golden, run_trial
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 
@@ -168,20 +170,13 @@ def test_machine_trial_throughput():
     _run_workload(_aged_machine())
 
     hv = _aged_machine()
+    before = counters.snapshot()
     records, elapsed = _run_workload(hv)
     trials_per_sec = len(records) / elapsed
-
-    ff = getattr(hv, "ff_stats", None)
-    ls = getattr(hv, "lockstep_stats", None)
-    # Block-cache telemetry, feature-detected so the harness still runs
-    # against the pre-translation tree to (re)measure its baseline.
-    tstats = (
-        hv.translation_stats() if hasattr(hv, "translation_stats") else None
-    )
-    translated = interpreted = 0
-    if tstats:
-        translated = tstats["translated_instructions"]
-        interpreted = tstats["interpreted_instructions"]
+    ff = ls = counters.since(before)
+    tstats = {**counters.view(counters.TRANSLATION, ff), **counters.derived(ff)}
+    translated = tstats["translated_instructions"]
+    interpreted = tstats["interpreted_instructions"]
     summary = {
         "format": "xentry-bench-machine-v1",
         "seed": SEED,

@@ -1,4 +1,4 @@
-"""Capture-or-load policy for golden artifacts, plus the stats ledger.
+"""Capture-or-load policy for golden artifacts, plus its counter view.
 
 :class:`GoldenSource` is the single object the campaign trial loop talks to:
 ``acquire`` tries the shared-memory segment first, then the on-disk store,
@@ -9,11 +9,8 @@ degrades to live capture, never to an exception — because the standing
 contract is that trial records are byte-identical with the cache cold, warm,
 shared, or disabled.
 
-The module-level :data:`STATS` ledger mirrors the translation-cache and
-lock-step patterns (:data:`repro.machine.translator.CACHE`,
-:data:`repro.machine.lockstep.STATS`): workers snapshot it around a shard
-and ship the delta to the engine's telemetry; the serial CLI path diffs it
-around the whole campaign.
+Its counters live in the campaign ledger (:mod:`repro.counters`);
+:func:`stats` is the artifact-cache view of it.
 """
 
 from __future__ import annotations
@@ -23,43 +20,14 @@ import time
 from repro.artifacts import shm
 from repro.artifacts.codec import ArtifactCorrupt, decode_group, encode_group
 from repro.artifacts.store import GoldenStore, golden_digest
+from repro.counters import ARTIFACTS, LEDGER, view
 
-__all__ = ["GoldenSource", "STATS", "golden_source_for", "reset_stats", "stats"]
-
-#: Process-wide artifact-cache ledger.  Counter semantics:
-#:
-#: * ``golden_hits`` / ``golden_misses`` — groups served from cache vs
-#:   captured live (their sum is the number of groups that consulted the
-#:   source; the manifest derives the hit rate from them);
-#: * ``shm_hits`` — the subset of hits served zero-copy from a segment;
-#: * ``artifact_corrupt`` — artifacts rejected by the codec (checksum,
-#:   version, structure) and silently replaced by live capture;
-#: * ``shm_lost`` — chaos-injected segment losses (the fallback drill);
-#: * ``golden_capture_seconds`` / ``golden_load_seconds`` — wall-clock split
-#:   behind the campaign summary's capture-vs-load line.
-STATS: dict[str, int | float] = {
-    "golden_hits": 0,
-    "golden_misses": 0,
-    "shm_hits": 0,
-    "shm_lost": 0,
-    "artifact_corrupt": 0,
-    "artifact_bytes_loaded": 0,
-    "artifact_bytes_written": 0,
-    "artifact_write_errors": 0,
-    "golden_capture_seconds": 0.0,
-    "golden_load_seconds": 0.0,
-}
+__all__ = ["GoldenSource", "golden_source_for", "stats"]
 
 
 def stats() -> dict[str, int | float]:
-    """Snapshot of the process-wide artifact ledger."""
-    return dict(STATS)
-
-
-def reset_stats() -> None:
-    """Zero the ledger (tests and per-shard delta accounting)."""
-    for key, value in STATS.items():
-        STATS[key] = 0.0 if isinstance(value, float) else 0
+    """The ledger's artifact-cache counters (see :data:`repro.counters.ARTIFACTS`)."""
+    return view(ARTIFACTS)
 
 
 class GoldenSource:
@@ -99,15 +67,15 @@ class GoldenSource:
                 try:
                     payload = self.store.load(digest, registry=registry)
                 except ArtifactCorrupt:
-                    STATS["artifact_corrupt"] += 1
+                    LEDGER["artifact_corrupt"] += 1
                     payload = None
         finally:
-            STATS["golden_load_seconds"] += time.perf_counter() - started
+            LEDGER["golden_load_seconds"] += time.perf_counter() - started
         if payload is None:
-            STATS["golden_misses"] += 1
+            LEDGER["golden_misses"] += 1
             return None
-        STATS["golden_hits"] += 1
-        STATS["artifact_bytes_loaded"] += payload.nbytes
+        LEDGER["golden_hits"] += 1
+        LEDGER["artifact_bytes_loaded"] += payload.nbytes
         return payload
 
     def _from_segment(self, digest: str, registry):
@@ -124,9 +92,9 @@ class GoldenSource:
             if payload.digest != digest:
                 raise ArtifactCorrupt("segment blob digest mismatch")
         except ArtifactCorrupt:
-            STATS["artifact_corrupt"] += 1
+            LEDGER["artifact_corrupt"] += 1
             return None
-        STATS["shm_hits"] += 1
+        LEDGER["shm_hits"] += 1
         return payload
 
     def offer(self, benchmark: str, group: int, golden, plan_state) -> None:
@@ -136,9 +104,9 @@ class GoldenSource:
         digest = golden_digest(self.config, benchmark, group)
         blob = encode_group(digest, golden, plan_state)
         if self.store.save(digest, blob):
-            STATS["artifact_bytes_written"] += len(blob)
+            LEDGER["artifact_bytes_written"] += len(blob)
         else:
-            STATS["artifact_write_errors"] += 1
+            LEDGER["artifact_write_errors"] += 1
 
 
 def golden_source_for(config, *, segment: str | None = None) -> GoldenSource | None:

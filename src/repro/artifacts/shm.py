@@ -35,6 +35,8 @@ import json
 import secrets
 from multiprocessing import shared_memory
 
+from repro.counters import LEDGER
+
 __all__ = [
     "SEGMENT_MAGIC",
     "SegmentPublisher",
@@ -186,7 +188,6 @@ class SegmentPublisher:
 
     def __init__(self) -> None:
         self._segments: dict[int, shared_memory.SharedMemory] = {}
-        self.stats = {"shm_segments": 0, "shm_bytes": 0}
 
     def prepare(self, shard_index: int, blobs: dict[str, bytes]) -> str | None:
         """Publish ``blobs`` for one shard; returns the segment name.
@@ -216,8 +217,8 @@ class SegmentPublisher:
             return None
         segment.buf[: len(payload)] = payload
         self._segments[shard_index] = segment
-        self.stats["shm_segments"] += 1
-        self.stats["shm_bytes"] += len(payload)
+        LEDGER["shm_segments"] += 1
+        LEDGER["shm_bytes"] += len(payload)
         return segment.name
 
     def finished(self, shard_index: int) -> None:

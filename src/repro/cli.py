@@ -44,9 +44,10 @@ from repro.analysis import (
     summarize_recovery,
     undetected_breakdown,
 )
-from repro.artifacts import runtime as artifacts_runtime
+from repro import counters
 from repro.engine import (
     CampaignEngine,
+    ChaosPolicy,
     EngineTelemetry,
     RetryPolicy,
     parse_chaos_spec,
@@ -56,8 +57,6 @@ from repro.engine.journal import JOURNAL_FORMAT
 from repro.errors import CampaignConfigError
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.hypervisor import ExitCategory, REGISTRY, XenHypervisor
-from repro.machine import lockstep
-from repro.machine.translator import CACHE
 from repro.ml import compile_tree
 from repro.persist import load_model, load_records, save_model, save_records, save_rules
 from repro.scenarios import load_scenario
@@ -67,7 +66,7 @@ from repro.service import (
     OverflowPolicy,
     ServiceConfig,
 )
-from repro.workloads import BENCHMARKS, VirtMode, WorkloadGenerator
+from repro.workloads import BENCHMARK_NAMES, BENCHMARKS, VirtMode, WorkloadGenerator
 from repro.xentry import (
     RecoveryCostModel,
     TrainingConfig,
@@ -203,12 +202,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"detector: accuracy {model.accuracy:.1%}, "
           f"FP {model.false_positive_rate:.2%}")
     detector = VMTransitionDetector.from_classifier(model.classifier)
-    # Detector training above also runs guest code through the process-wide
-    # translation cache; snapshot its counters so the summary reports the
-    # campaign phase alone (under --no-translate it must read 0% translated).
-    pre_campaign = CACHE.stats()
-    pre_lockstep = lockstep.stats()
-    pre_artifacts = artifacts_runtime.stats()
     config = CampaignConfig(
         n_injections=args.injections, seed=args.seed, trace=args.trace,
         translate=not args.no_translate,
@@ -239,10 +232,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             telemetry=telemetry,
             retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
             shard_timeout=args.shard_timeout,
-            chaos=parse_chaos_spec(args.chaos) if args.chaos else None,
+            chaos=args.chaos,
         )
         result = engine.run(resume=args.resume)
-        astats = dict(telemetry.artifact_stats)
+        counts = telemetry.counters
         if args.journal:
             print(f"journal at {args.journal} "
                   f"(manifest: {args.journal}.manifest.json)")
@@ -253,45 +246,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             sys.stdout.write(f"\r{done}/{total} trials")
             sys.stdout.flush()
 
+        # Detector training above also ran the simulated machine: count the
+        # campaign phase alone (--no-translate must read 0% translated).
+        before = counters.snapshot()
         result = campaign.run(progress=progress)
-        post_artifacts = artifacts_runtime.stats()
-        astats = {
-            k: post_artifacts[k] - pre_artifacts[k]
-            for k in post_artifacts
-            if post_artifacts[k] != pre_artifacts[k]
-        }
+        counts = counters.since(before)
     print(f"\n{len(result)} injections, {len(result.manifested)} manifested "
           f"({time.time() - t0:.0f}s)")
-    capture = astats.get("golden_capture_seconds", 0.0)
-    load = astats.get("golden_load_seconds", 0.0)
-    hits = int(astats.get("golden_hits", 0))
-    consulted = hits + int(astats.get("golden_misses", 0))
-    if capture or load or consulted:
-        cache_note = f", cache {hits}/{consulted} hits" if consulted else ""
-        print(f"golden capture: {capture:.2f}s capturing live, "
-              f"{load:.2f}s loading cached artifacts{cache_note}")
-    tstats = {
-        k: v - pre_campaign[k]
-        for k, v in CACHE.stats().items()
-        if k != "block_hit_rate"
-    }
-    if tstats["block_executions"]:
-        mix = tstats["translated_instructions"] + tstats["interpreted_instructions"]
-        share = tstats["translated_instructions"] / mix if mix else 0.0
-        hit_rate = (
-            (tstats["block_executions"] - tstats["blocks_compiled"])
-            / tstats["block_executions"]
-        )
-        print(f"translation cache: {tstats['blocks_compiled']} blocks compiled, "
-              f"hit rate {hit_rate:.1%}, "
-              f"{share:.1%} of instructions translated")
-    lstats = {k: v - pre_lockstep[k] for k, v in lockstep.stats().items()}
-    if lstats["twins"]:
-        dead_share = lstats["dead_twins"] / lstats["twins"]
-        print(f"twin batching: {lstats['twins']} twins in "
-              f"{lstats['twin_batches']} batches, "
-              f"{lstats['dead_twins']} settled without execution "
-              f"({dead_share:.1%}), {lstats['peeled_twins']} peeled")
+    _print_counters(counts)
     if args.output:
         save_records(result.records, args.output)
         print(f"records written to {args.output}")
@@ -307,6 +269,28 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"(analysis skipped on degraded records: {exc})")
     print(f"\nDEGRADED: {result.summary()}", file=sys.stderr)
     return 3
+
+
+def _print_counters(counts) -> None:
+    """The campaign phase's golden-capture, translation and twin lines."""
+    rates = counters.derived(counts)
+    capture = counts["golden_capture_seconds"]
+    load = counts["golden_load_seconds"]
+    hits = int(counts["golden_hits"])
+    consulted = hits + int(counts["golden_misses"])
+    if capture or load or consulted:
+        cache_note = f", cache {hits}/{consulted} hits" if consulted else ""
+        print(f"golden capture: {capture:.2f}s capturing live, "
+              f"{load:.2f}s loading cached artifacts{cache_note}")
+    if counts["block_executions"]:
+        print(f"translation cache: {counts['blocks_compiled']} blocks compiled, "
+              f"hit rate {rates['block_hit_rate']:.1%}, "
+              f"{rates['translated_share']:.1%} of instructions translated")
+    if counts["twins"]:
+        print(f"twin batching: {counts['twins']} twins in "
+              f"{counts['twin_batches']} batches, "
+              f"{counts['dead_twins']} settled without execution "
+              f"({rates['dead_twin_share']:.1%}), {counts['peeled_twins']} peeled")
 
 
 def _report_records(records) -> int:
@@ -457,6 +441,32 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type=`` accepting floats > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _chaos_spec(text: str) -> ChaosPolicy:
+    """:func:`parse_chaos_spec` as an argparse ``type=``."""
+    try:
+        return parse_chaos_spec(text)
+    except CampaignConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _journal_path(text: str) -> str:
+    """An argparse ``type=`` for a journal file whose directory exists."""
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory of {text!r} does not exist")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-xentry",
@@ -477,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="Section III.B classifier pipeline", parents=[common])
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for sample collection "
                         "(default: 1, serial; datasets are bit-identical)")
     p.add_argument("--journal-dir", metavar="DIR",
@@ -497,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("campaign", help="fault-injection campaign (Figs. 8-10)", parents=[common])
-    p.add_argument("--injections", type=_int_at_least(1), default=6000)
+    # Every benchmark gets at least one trial: fewer would be silently raised.
+    p.add_argument("--injections", type=_int_at_least(len(BENCHMARK_NAMES)),
+                   default=6000)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--output", metavar="PATH",
                    help="write trial records as JSON lines")
@@ -540,17 +552,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for the campaign engine "
                         "(default: 1, serial; results are bit-identical)")
-    p.add_argument("--journal", metavar="PATH",
+    p.add_argument("--journal", metavar="PATH", type=_journal_path,
                    help="journal finished shards to PATH (crash-safe JSONL)")
     p.add_argument("--resume", action="store_true",
                    help="resume from --journal, skipping completed shards")
     p.add_argument("--retries", type=_int_at_least(0), default=2,
                    help="per-shard retry budget before quarantine (default: 2; "
                         "a degraded campaign exits with code 3)")
-    p.add_argument("--shard-timeout", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--shard-timeout", type=_positive_float, default=None,
+                   metavar="SECONDS",
                    help="wall-clock watchdog per shard attempt "
                         "(pool mode; hung workers are killed and retried)")
-    p.add_argument("--chaos", metavar="SPEC",
+    p.add_argument("--chaos", metavar="SPEC", type=_chaos_spec,
                    help="inject deterministic engine faults to exercise the "
                         "supervisor, e.g. '0.2' or "
                         "'crash=0.2,hard=0.05,hang=0.1,journal=0.05,seed=1'")

@@ -16,9 +16,10 @@ aborting mid-run.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
-from repro.artifacts import runtime as artifacts_runtime
+from repro import counters
 from repro.artifacts import shm as artifacts_shm
 from repro.artifacts.runtime import golden_source_for
 from repro.artifacts.store import GoldenStore, golden_digest
@@ -47,8 +48,6 @@ from repro.faults.campaign import (
 from repro.faults.injector import TransitionDetector
 from repro.faults.outcomes import TrialRecord
 from repro.hypervisor.xen import XenHypervisor
-from repro.machine import lockstep
-from repro.machine.translator import CACHE
 
 __all__ = ["CampaignEngine", "execute_shard"]
 
@@ -62,8 +61,8 @@ def execute_shard(
     attempt: int = 0,
     allow_hard: bool = True,
     segment: str | None = None,
-) -> tuple[list[tuple[int, TrialRecord]], dict[str, int | float]]:
-    """Run every slice of ``shard``; return its records plus cache stats.
+) -> tuple[list[tuple[int, TrialRecord]], Counter]:
+    """Run every slice of ``shard``; return its records plus counter delta.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config (bit-identical to the serial campaign's, which
@@ -74,23 +73,22 @@ def execute_shard(
     ``segment`` names a shared-memory segment the parent pre-published with
     this shard's golden artifacts; the worker maps it instead of re-reading
     the store (and instead of re-executing goldens).  The returned trials
-    come paired with this execution's delta of the process-wide artifact
-    counters (:func:`repro.artifacts.runtime.stats`), so the supervisor can
-    fold worker-side cache telemetry into the run manifest.
+    come paired with this execution's counter-ledger delta
+    (:mod:`repro.counters`), so the run manifest covers the workers.
     """
     tripwire = None
     if chaos is not None:
         plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
         if not plan.quiet:
             tripwire = ChaosTripwire(plan)
+    before = counters.snapshot()
     golden_source = golden_source_for(config, segment=segment)
-    stats_before = artifacts_runtime.stats()
     if tripwire is not None and golden_source is not None:
         def _lose_segment() -> None:
             # The chaos ``shm_lost`` effect: the worker's shared segment
             # vanishes mid-shard and its artifact source refuses further
             # loads, so every remaining group falls back to live capture.
-            artifacts_runtime.STATS["shm_lost"] += 1
+            counters.LEDGER["shm_lost"] += 1
             if segment is not None:
                 artifacts_shm.unlink_segment(segment)
             golden_source.poison()
@@ -110,13 +108,7 @@ def execute_shard(
             golden_source=golden_source,
         )
         out.extend(enumerate(records, start=s.trial_start))
-    stats_after = artifacts_runtime.stats()
-    delta = {
-        key: stats_after[key] - stats_before[key]
-        for key in stats_after
-        if stats_after[key] != stats_before[key]
-    }
-    return out, delta
+    return out, counters.since(before)
 
 
 class _ShardSegments:
@@ -162,11 +154,6 @@ class _ShardSegments:
     def close(self) -> None:
         """Unlink every remaining segment (run teardown backstop)."""
         self._publisher.close_all()
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Parent-side publication counters (segments created, bytes)."""
-        return dict(self._publisher.stats)
 
 
 class CampaignEngine:
@@ -258,6 +245,7 @@ class CampaignEngine:
         )
         failures: dict[int, ShardFailure] = {}
         segments: _ShardSegments | None = None
+        before = counters.snapshot()
         try:
             pending = [s for s in plan.shards if s.index not in done]
             self.telemetry.emit(
@@ -296,19 +284,15 @@ class CampaignEngine:
                 segments=segments,
             )
             failures = supervisor.run(pending, done)
-            # Translation-cache/lock-step telemetry is per-process state;
-            # this covers serial and inline (jobs=1) runs completely and the
-            # coordinating process otherwise (see record_machine_stats).
-            self.telemetry.record_machine_stats(
-                {**CACHE.stats(), **lockstep.stats()}
-            )
         finally:
             # Segment teardown first: /dev/shm must be clean on every exit
             # path, and the publication counters have to land before the
-            # manifest snapshot below.
+            # manifest snapshot below.  Segments exist only with a pool, so
+            # this process ran no shard and its own ledger growth is the
+            # publication alone.
             if segments is not None:
-                self.telemetry.record_artifact_stats(segments.stats)
                 segments.close()
+                self.telemetry.counters.update(counters.since(before))
             # The manifest snapshot must survive any failure mode — it is
             # written first so a failing journal close cannot cost it, and
             # best-effort so an unwritable manifest cannot mask the real

@@ -41,6 +41,7 @@ the serial run.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -211,6 +212,9 @@ class ShardSupervisor:
     Parameters mirror :class:`~repro.engine.pool.CampaignEngine`; ``execute``
     is the module-level shard runner (pickled into pool workers), injected to
     keep this module free of a circular import on :mod:`repro.engine.pool`.
+    It returns ``(items, delta)``: the shard's ``(index, item)`` pairs and
+    its counter-ledger delta, which only a finished shard folds into the
+    telemetry, so failed and retried attempts never count.
     ``shard_timeout`` is enforced by the pool-mode watchdog only: in serial
     mode the "worker" is this process, which cannot preempt itself.
     """
@@ -219,7 +223,7 @@ class ShardSupervisor:
         self,
         config: CampaignConfig,
         *,
-        execute: Callable[..., list[tuple[int, TrialRecord]]],
+        execute: Callable[..., tuple[list[tuple[int, TrialRecord]], Counter]],
         jobs: int = 1,
         detector: TransitionDetector | None = None,
         retry: RetryPolicy | None = None,
@@ -281,10 +285,10 @@ class ShardSupervisor:
             while True:
                 t0 = time.monotonic()
                 try:
-                    trials = self._normalize(self.execute(
+                    result = self.execute(
                         self.config, shard, self.detector,
                         chaos=self.chaos, attempt=attempt, allow_hard=False,
-                    ))
+                    )
                 except Exception as exc:  # noqa: BLE001 — every worker fault funnels here
                     delay = self._attempt_failed(
                         shard, attempt, "exception",
@@ -296,7 +300,7 @@ class ShardSupervisor:
                         time.sleep(delay)
                     attempt += 1
                     continue
-                self._finish(shard, trials, time.monotonic() - t0, done)
+                self._finish(shard, result, time.monotonic() - t0, done)
                 break
 
     # -- pool loop ------------------------------------------------------------
@@ -383,12 +387,12 @@ class ShardSupervisor:
         """Process every finished future; journal all successes before
         letting any failure unwind (the lost-shard fix: a crash in one
         future must not discard its batch-mates' completed work)."""
-        completed: list[tuple[_Run, list]] = []
+        completed: list[tuple[_Run, tuple]] = []
         broken: list[_Run] = []
         for future in finished:
             run = inflight.pop(future)
             try:
-                completed.append((run, self._normalize(future.result())))
+                completed.append((run, future.result()))
             except BrokenProcessPool:
                 broken.append(run)
             except Exception as exc:  # noqa: BLE001 — worker failure, retried
@@ -396,10 +400,10 @@ class ShardSupervisor:
                     run, "exception", f"{type(exc).__name__}: {exc}", queue
                 )
         first_error: BaseException | None = None
-        for run, trials in completed:
+        for run, result in completed:
             try:
                 self._finish(
-                    run.shard, trials, time.monotonic() - run.started, done
+                    run.shard, result, time.monotonic() - run.started, done
                 )
             except BaseException as exc:  # noqa: BLE001 — drain before unwinding
                 if first_error is None:
@@ -477,24 +481,6 @@ class ShardSupervisor:
 
     # -- shared failure/finish plumbing ---------------------------------------
 
-    def _normalize(self, result):
-        """Unpack a shard result that carries an artifact-stats sidecar.
-
-        ``execute_shard`` returns ``(trials, stats_delta)`` so worker-side
-        golden-cache counters survive the process boundary; older executors
-        (and the training-sample path) return a bare trial list.  Either way
-        the caller gets just the trials.
-        """
-        if (
-            isinstance(result, tuple)
-            and len(result) == 2
-            and isinstance(result[1], dict)
-        ):
-            trials, stats = result
-            self.telemetry.record_artifact_stats(stats)
-            return trials
-        return result
-
     def _requeue_failed(self, run: _Run, kind: str, error: str, queue) -> None:
         delay = self._attempt_failed(run.shard, run.attempt, kind, error)
         if delay is not None:
@@ -554,13 +540,15 @@ class ShardSupervisor:
                 # quarantine itself.
                 pass
 
-    def _finish(self, shard: ShardPlan, trials, elapsed: float, done) -> None:
+    def _finish(self, shard: ShardPlan, result, elapsed: float, done) -> None:
+        trials, delta = result
         if self.journal is not None:
             self._journal_append(shard, trials)
         done[shard.index] = trials
         if self.segments is not None:
             self.segments.release(shard.index)
         self.telemetry.record_outcomes(r for _, r in trials)
+        self.telemetry.counters.update(delta)
         self.telemetry.emit(
             ShardFinished(shard=shard.index, n_trials=len(trials), elapsed=elapsed)
         )

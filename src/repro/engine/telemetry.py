@@ -18,6 +18,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.counters import GOLDEN_CACHE, MACHINE, derived, view
 from repro.faults.outcomes import TrialRecord
 
 __all__ = [
@@ -197,14 +198,9 @@ class EngineTelemetry:
         self.worker_crashes = 0
         self.failed_attempts: list[ShardFailed] = []
         self.quarantined: list[ShardQuarantined] = []
-        #: Simulated-machine execution telemetry (translation-cache hit rate,
-        #: translated/interpreted instruction mix); see record_machine_stats.
-        self.machine_stats: dict[str, int | float] = {}
-        #: Golden artifact-cache counters (hits, misses, corrupt artifacts,
-        #: bytes moved, capture-vs-load seconds); see record_artifact_stats.
-        #: Unlike machine stats these are shipped per shard as worker-side
-        #: deltas, so pool runs are covered completely.
-        self.artifact_stats: dict[str, int | float] = {}
+        #: The run's counter-ledger totals (:mod:`repro.counters`): the sum
+        #: of the delta each finished shard ships back, worker or inline.
+        self.counters: Counter = Counter()
 
     # -- event plumbing ------------------------------------------------------
 
@@ -261,42 +257,22 @@ class EngineTelemetry:
                 _features, label = record
                 self.label_counts["incorrect" if label else "correct"] += 1
 
-    def record_machine_stats(self, stats: dict[str, int | float]) -> None:
-        """Attach simulated-machine execution counters to the run summary.
+    @property
+    def artifact_stats(self) -> dict[str, int | float]:
+        """The run's golden artifact-cache counters."""
+        return view(GOLDEN_CACHE, self.counters)
 
-        Counters are summed across calls (hit rates and other non-count
-        fields take the latest value), so the engine can fold in stats from
-        several hypervisors.  With worker processes (``jobs > 1``) the
-        counters cover the coordinating process only — the translation cache
-        is per-process state.
-        """
-        for key, value in stats.items():
-            if key.endswith("_rate") or key not in self.machine_stats:
-                self.machine_stats[key] = value
-            else:
-                self.machine_stats[key] += value
-
-    def record_artifact_stats(self, stats: dict[str, int | float]) -> None:
-        """Fold one golden artifact-cache stats delta into the run totals.
-
-        Every value is a summable counter (counts, bytes, seconds): workers
-        snapshot :data:`repro.artifacts.runtime.STATS` around each shard and
-        ship the difference, and the engine adds the parent-side segment
-        publication counters, so per-shard deltas sum to exact run totals in
-        both serial and pool modes.
-        """
-        for key, value in stats.items():
-            if value:
-                self.artifact_stats[key] = self.artifact_stats.get(key, 0) + value
+    def machine_summary(self) -> dict:
+        """The manifest's ``machine`` section: machine counters plus rates."""
+        rates = derived(self.counters)
+        del rates["golden_hit_rate"]  # the golden_cache section's
+        return {**view(MACHINE, self.counters), **rates}
 
     def golden_cache_summary(self) -> dict:
-        """Artifact-cache rollup: raw counters plus the derived hit rate."""
-        hits = self.artifact_stats.get("golden_hits", 0)
-        misses = self.artifact_stats.get("golden_misses", 0)
-        consulted = hits + misses
+        """The manifest's ``golden_cache`` section: counters plus hit rate."""
         return {
             **self.artifact_stats,
-            "hit_rate": (hits / consulted) if consulted else None,
+            "hit_rate": derived(self.counters)["golden_hit_rate"],
         }
 
     # -- derived views -------------------------------------------------------
@@ -368,7 +344,7 @@ class EngineTelemetry:
                     for e in self.quarantined
                 ],
             },
-            "machine": dict(self.machine_stats),
+            "machine": self.machine_summary(),
             "golden_cache": self.golden_cache_summary(),
             "shards": [
                 {

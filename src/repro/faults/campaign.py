@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import rng as rng_mod
+from repro.counters import LEDGER
 from repro.errors import CampaignConfigError
 from repro.faults.injector import (
     PLAN_UNSET,
@@ -241,7 +242,6 @@ def run_benchmark_groups(
     # Lazy import: repro.artifacts.store imports this module for the config
     # and geometry types.
     from repro.artifacts.codec import PLAN_ABSENT, PLAN_NONE, PLAN_PRESENT
-    from repro.artifacts.runtime import STATS as artifact_stats
     from repro.artifacts.runtime import golden_source_for
 
     geo = benchmark_geometry(config)
@@ -332,7 +332,7 @@ def run_benchmark_groups(
                 # compute the identical plan from the identical state) so it
                 # can be published alongside the golden products.
                 plan = trace_plan(hv, activation, golden)
-            artifact_stats["golden_capture_seconds"] += time.perf_counter() - started
+            LEDGER["golden_capture_seconds"] += time.perf_counter() - started
             if golden_source is not None:
                 if not config.twin_batch:
                     plan_state = (PLAN_ABSENT, None)
@@ -395,18 +395,6 @@ def run_benchmark_groups(
                 records.append(record)
                 if on_record is not None:
                     on_record(record)
-    # Fold the execution-mix counters into hv.ff_stats so callers (engine
-    # shards, benchmarks) see translation telemetry without extra plumbing.
-    hv.translation_stats()
-    # Same for the lock-step batch ledger: one flat dict carries the whole
-    # execution-strategy mix.
-    hv.ff_stats.update(hv.lockstep_stats)
-    if executor is not None:
-        # Recovery counters travel the same flat ledger the engine's shard
-        # telemetry already aggregates.
-        for key, value in executor.stats.items():
-            flat = f"recovery_{key.replace(':', '_')}"
-            hv.ff_stats[flat] = hv.ff_stats.get(flat, 0) + value
     return records
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.counters import LEDGER
 from repro.errors import SimulationLimitExceeded
 from repro.faults.outcomes import (
     BurstFaultSpec,
@@ -99,27 +100,14 @@ def run_trial(
     # the golden prefix.  The flip cannot fire before the rung
     # (rung.index <= dynamic_index) and the prefix is deterministic, so the
     # faulty run is bit-identical either way.
-    stats = hv.ff_stats
-    stats["trials"] += 1
-    target = fault.dynamic_index if read_point is None else read_point
-    rung = None
-    for candidate in golden.ladder:  # ascending by index
-        if candidate.index > target:
-            break
-        rung = candidate
-    if rung is not None:
-        hv.restore_machine(rung)
-        stats["fast_forwarded"] += 1
-        stats["instructions_skipped"] += rung.index
-    else:
-        hv.restore(golden.checkpoint)
+    rung = _resume(
+        hv, golden, fault.dynamic_index if read_point is None else read_point
+    )
     multibit = isinstance(fault, MultiBitFaultSpec)
     if rung is not None and rung.index > fault.dynamic_index:
         # Past the injection index: the register still holds its golden
         # value here (the scan proved no access), so flip it now.
-        _bump_lockstep(
-            hv, "read_ff_instructions", rung.index - fault.dynamic_index
-        )
+        LEDGER["read_ff_instructions"] += rung.index - fault.dynamic_index
         if multibit:
             hv.cpu.arm_applied_flip_set(
                 fault.dynamic_index,
@@ -166,12 +154,29 @@ def run_trial(
     )
 
 
-def _bump_lockstep(hv: XenHypervisor, key: str, n: int = 1) -> None:
-    """Count on both ledgers: the per-machine one (benchmarks inspect
-    ``hv.lockstep_stats``) and the process-wide one the engine/CLI report
-    (:data:`repro.machine.lockstep.STATS`, mirroring the translation cache)."""
-    hv.lockstep_stats[key] += n
-    lockstep.STATS[key] += n
+def _count_trial(skipped: int | None) -> None:
+    """Fast-forward accounting for one trial that resumed ``skipped`` golden
+    instructions in (``None``: replayed from the pre-run checkpoint)."""
+    LEDGER["trials"] += 1
+    if skipped is not None:
+        LEDGER["fast_forwarded"] += 1
+        LEDGER["instructions_skipped"] += skipped
+
+
+def _resume(hv: XenHypervisor, golden: GoldenRun, target: int):
+    """Restore the latest ladder rung at-or-before ``target`` (the pre-run
+    checkpoint when there is none) and count the trial; returns the rung."""
+    rung = None
+    for candidate in golden.ladder:  # ascending by index
+        if candidate.index > target:
+            break
+        rung = candidate
+    if rung is not None:
+        hv.restore_machine(rung)
+    else:
+        hv.restore(golden.checkpoint)
+    _count_trial(None if rung is None else rung.index)
+    return rung
 
 
 def trace_plan(hv: XenHypervisor, activation: Activation, golden: GoldenRun):
@@ -274,21 +279,17 @@ def run_twin_batch(
     faults = list(faults)
     if plan is PLAN_UNSET:
         plan = trace_plan(hv, activation, golden) if faults else None
-    _bump_lockstep(hv, "twin_batches")
-    _bump_lockstep(hv, "twins", len(faults))
+    LEDGER["twin_batches"] += 1
+    LEDGER["twins"] += len(faults)
     records: list[TrialRecord] = []
     for index, fault in enumerate(faults):
         kind, read_point = _classify_spec_twin(plan, fault)
         if kind == lockstep.DEAD:
-            _bump_lockstep(hv, "dead_twins")
-            _bump_lockstep(
-                hv, "synthesized_instructions", golden.result.instructions
-            )
+            LEDGER["dead_twins"] += 1
+            LEDGER["synthesized_instructions"] += golden.result.instructions
             # The whole faulty run is provably golden: account it as a
             # full-length fast-forward.
-            hv.ff_stats["trials"] += 1
-            hv.ff_stats["fast_forwarded"] += 1
-            hv.ff_stats["instructions_skipped"] += golden.result.instructions
+            _count_trial(golden.result.instructions)
             record = TrialRecord(
                 benchmark=benchmark,
                 vmer=activation.vmer,
@@ -300,7 +301,7 @@ def run_twin_batch(
                 detail="non-activated",
             )
         else:
-            _bump_lockstep(hv, "peeled_twins")
+            LEDGER["peeled_twins"] += 1
             record = run_spec_trial(
                 hv,
                 activation,
@@ -345,7 +346,7 @@ def run_memory_trial(
         golden = capture_golden(hv, activation, followups)
     # Memory faults are present from instruction 0, so there is no prefix to
     # skip: always replay from the pre-run checkpoint.
-    hv.ff_stats["trials"] += 1
+    _count_trial(None)
     hv.restore(golden.checkpoint)
     hv.cpu.clear_injection()
     original = hv.memory.read_u64(fault.address)
@@ -379,19 +380,7 @@ def run_burst_trial(
     """
     if golden is None:
         golden = capture_golden(hv, activation, followups)
-    stats = hv.ff_stats
-    stats["trials"] += 1
-    rung = None
-    for candidate in golden.ladder:  # ascending by index
-        if candidate.index > fault.dynamic_index:
-            break
-        rung = candidate
-    if rung is not None:
-        hv.restore_machine(rung)
-        stats["fast_forwarded"] += 1
-        stats["instructions_skipped"] += rung.index
-    else:
-        hv.restore(golden.checkpoint)
+    rung = _resume(hv, golden, fault.dynamic_index)
     hv.cpu.schedule_flip_set(fault.dynamic_index, fault.flips)
 
     return _execute_and_classify(

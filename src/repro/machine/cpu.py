@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.counters import LEDGER
 from repro.errors import MachineConfigError, SimulationLimitExceeded
 from repro.machine.exceptions import (
     AssertionViolation,
@@ -40,7 +41,7 @@ from repro.machine.perfcounters import PerformanceCounterUnit
 from repro.machine.registers import MASK64, RegisterFile
 from repro.machine.tracer import _FNV_PRIME, Tracer
 from repro.machine import translator as _translator
-from repro.machine.translator import CACHE, translation_for
+from repro.machine.translator import translation_for
 
 __all__ = [
     "CPUCore",
@@ -259,11 +260,6 @@ class CPUCore:
         #: Execute through cached translated blocks where possible (the
         #: interpreter remains the oracle; ``translate=False`` forces it).
         self.translate = translate
-        # Cumulative execution-mix telemetry (never reset by checkpoints or
-        # hypervisor resets; see XenHypervisor.translation_stats).
-        self.translated_instructions = 0
-        self.interpreted_instructions = 0
-        self.block_executions = 0
         # Injection state
         self._inj_index: int | None = None
         self._inj_reg: str | None = None
@@ -1005,13 +1001,9 @@ class CPUCore:
             pmu._loads = p_loads
             pmu._stores = p_stores
             self.tsc = tsc
-            self.translated_instructions += t_instr
-            self.block_executions += t_blocks
-            interp = count - count0 - t_instr
-            self.interpreted_instructions += interp
-            CACHE.translated_instructions += t_instr
-            CACHE.block_executions += t_blocks
-            CACHE.interpreted_instructions += interp
+            LEDGER["translated_instructions"] += t_instr
+            LEDGER["block_executions"] += t_blocks
+            LEDGER["interpreted_instructions"] += count - count0 - t_instr
 
     def _fetch(self, program: Program, rip: int) -> Instr:
         if not is_canonical(rip):

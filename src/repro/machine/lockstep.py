@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.counters import TWINS, view
 from repro.machine.isa import Op, Program
 from repro.machine.registers import ALL_REGISTERS, RegisterFile
 
@@ -48,7 +49,6 @@ __all__ = [
     "build_plan",
     "classify_twin",
     "stats",
-    "reset_stats",
     "DEAD",
     "PEEL",
 ]
@@ -63,29 +63,10 @@ _NEVER = 1 << 62
 DEAD = "dead"
 PEEL = "peel"
 
-#: Process-wide batch accounting, mirroring the translation cache's role
-#: for engine/CLI telemetry (per-machine copies live on
-#: ``XenHypervisor.lockstep_stats``; with worker pools these counters cover
-#: the coordinating process only, like the translation counters).
-STATS = {
-    "twin_batches": 0,
-    "twins": 0,
-    "dead_twins": 0,
-    "peeled_twins": 0,
-    "synthesized_instructions": 0,
-    "read_ff_instructions": 0,
-}
-
 
 def stats() -> dict[str, int]:
-    """A snapshot of the process-wide twin-batch counters."""
-    return dict(STATS)
-
-
-def reset_stats() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    for key in STATS:
-        STATS[key] = 0
+    """The ledger's twin-batch counters (see :mod:`repro.counters`)."""
+    return view(TWINS)
 
 
 @dataclass(frozen=True)

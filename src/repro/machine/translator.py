@@ -49,6 +49,7 @@ instances with identical images reuse one compiled set.
 
 from __future__ import annotations
 
+from repro.counters import LEDGER, TRANSLATION, derived, view
 from repro.machine.exceptions import (
     AssertionViolation,
     HardwareException,
@@ -704,6 +705,7 @@ class ProgramTranslation:
             self.uncompilable_blocks += 1
         else:
             self.compiled_blocks += 1
+            LEDGER["blocks_compiled"] += 1
         self.blocks[index] = entry
         return entry
 
@@ -728,16 +730,6 @@ class TranslationCache:
     def __init__(self, max_programs: int = 64) -> None:
         self.max_programs = max_programs
         self._programs: dict[str, ProgramTranslation] = {}
-        #: Programs that attached to an already-compiled translation.
-        self.hits = 0
-        #: Programs whose digest was seen for the first time.
-        self.misses = 0
-        # Process-wide execution mix, accumulated by every core's dispatch
-        # loop (per-core copies live on CPUCore; these survive hypervisor
-        # teardown so campaign telemetry can report one process total).
-        self.translated_instructions = 0
-        self.interpreted_instructions = 0
-        self.block_executions = 0
 
     def get(self, program: Program) -> ProgramTranslation:
         """The (shared) translation for ``program``, creating it on miss."""
@@ -747,7 +739,7 @@ class TranslationCache:
         digest = program.text_digest()
         translation = self._programs.get(digest)
         if translation is None:
-            self.misses += 1
+            LEDGER["program_misses"] += 1
             if len(self._programs) >= self.max_programs:
                 # Campaigns use a handful of images; a full registry means
                 # churn (e.g. fuzzing), where stale entries have no future.
@@ -755,27 +747,17 @@ class TranslationCache:
             translation = ProgramTranslation(program)
             self._programs[digest] = translation
         else:
-            self.hits += 1
+            LEDGER["program_hits"] += 1
         program._translation = translation
         return translation
 
     def stats(self) -> dict[str, int | float]:
-        """Process-wide counters: program attaches, compiled blocks, and the
-        translated/interpreted execution mix with the block-cache hit rate
-        (share of block executions served by an already-compiled block)."""
-        compiled = sum(t.compiled_blocks for t in self._programs.values())
-        executions = self.block_executions
+        """Registered programs plus the ledger's translation counters and
+        block-cache hit rate (see :mod:`repro.counters`)."""
         return {
             "programs": len(self._programs),
-            "program_hits": self.hits,
-            "program_misses": self.misses,
-            "blocks_compiled": compiled,
-            "translated_instructions": self.translated_instructions,
-            "interpreted_instructions": self.interpreted_instructions,
-            "block_executions": executions,
-            "block_hit_rate": (
-                (executions - compiled) / executions if executions > compiled else 0.0
-            ),
+            **view(TRANSLATION),
+            "block_hit_rate": derived(LEDGER)["block_hit_rate"],
         }
 
 

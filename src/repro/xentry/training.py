@@ -22,9 +22,11 @@ This module reproduces that pipeline on the simulated platform:
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import counters
 from repro import rng as rng_mod
 from repro.engine.chaos import ChaosPolicy, ChaosTripwire
 from repro.engine.journal import SampleJournal
@@ -190,8 +192,9 @@ def execute_training_shard(
     allow_hard: bool = True,
     stream: str = "train",
     hypervisor: XenHypervisor | None = None,
-) -> list[tuple[int, Sample]]:
-    """Run one collection shard and return ``(global run index, sample)``.
+) -> tuple[list[tuple[int, Sample]], Counter]:
+    """Run one collection shard; return ``(global run index, sample)`` pairs
+    and the shard's counter-ledger delta (:mod:`repro.counters`).
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config.  Every shard starts from post-boot state
@@ -201,6 +204,7 @@ def execute_training_shard(
     produced at those positions.  ``detector`` is the supervisor protocol
     slot — collection deploys no detector, the argument is ignored.
     """
+    before = counters.snapshot()
     tripwire = None
     if chaos is not None:
         plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
@@ -218,7 +222,8 @@ def execute_training_shard(
         items = _collect_free_part(hv, generator, shard, stream, tripwire)
     else:
         items = _collect_inj_part(hv, config, generator, shard, stream, tripwire)
-    return [(shard.run_start + k, sample) for k, sample in enumerate(items)]
+    runs = [(shard.run_start + k, sample) for k, sample in enumerate(items)]
+    return runs, counters.since(before)
 
 
 def collect_dataset(

@@ -15,18 +15,12 @@ from repro.artifacts import runtime
 from repro.artifacts.codec import MAGIC
 from repro.artifacts.runtime import GoldenSource, golden_source_for
 from repro.artifacts.store import GoldenStore
+from repro.counters import ARTIFACTS, LEDGER, view
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
 CONFIG = CampaignConfig(
     n_injections=24, seed=7, benchmarks=("mcf", "postmark"), ladder_interval=16
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_ledger():
-    runtime.reset_stats()
-    yield
-    runtime.reset_stats()
 
 
 def run_campaign(config):
@@ -61,44 +55,46 @@ class TestSourcePolicy:
         assert isinstance(source, GoldenSource)
         assert source.store is None and source.segment == "xgold-nope"
 
-    def test_poisoned_source_neither_serves_nor_saves(self, tmp_path):
+    def test_poisoned_source_neither_serves_nor_saves(self, tmp_path, ledger):
         source = golden_source_for(cached(tmp_path))
         source.poison()
         assert source.acquire("mcf", 0, registry=None) is None
         source.offer("mcf", 0, None, None)  # must not touch the store
         assert artifact_files(tmp_path) == []
         # A poisoned source was never consulted: no hit, no miss.
-        assert runtime.STATS["golden_hits"] == 0
-        assert runtime.STATS["golden_misses"] == 0
+        assert ledger()["golden_hits"] == 0
+        assert ledger()["golden_misses"] == 0
 
-    def test_vanished_segment_falls_back_silently(self):
+    def test_vanished_segment_falls_back_silently(self, ledger):
         source = golden_source_for(CONFIG, segment="xgold-000000000000")
         assert source.acquire("mcf", 0, registry=None) is None
-        assert runtime.STATS["golden_misses"] == 1
+        assert ledger()["golden_misses"] == 1
 
 
 class TestCampaignBitIdentity:
-    def test_cold_then_warm_matches_uncached(self, tmp_path):
+    def test_cold_then_warm_matches_uncached(self, tmp_path, ledger):
         baseline = run_campaign(CONFIG)
 
+        ledger.mark()
         cold = run_campaign(cached(tmp_path))
         assert cold.records == baseline.records
-        after_cold = runtime.stats()
+        after_cold = ledger()
         assert after_cold["golden_misses"] > 0
         assert after_cold["golden_hits"] == 0
         assert after_cold["artifact_bytes_written"] > 0
         assert artifact_files(tmp_path)
 
+        ledger.mark()
         warm = run_campaign(cached(tmp_path))
         assert warm.records == baseline.records
-        delta_hits = runtime.stats()["golden_hits"] - after_cold["golden_hits"]
-        delta_misses = runtime.stats()["golden_misses"] - after_cold["golden_misses"]
-        assert delta_misses == 0, "warm run must execute zero golden captures"
-        assert delta_hits == after_cold["golden_misses"]
-        assert runtime.stats()["golden_load_seconds"] > 0.0
+        assert ledger()["golden_misses"] == 0, "warm run must execute zero golden captures"
+        assert ledger()["golden_hits"] == after_cold["golden_misses"]
+        assert ledger()["golden_load_seconds"] > 0.0
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage", "version"])
-    def test_corrupt_artifacts_fall_back_to_live_capture(self, tmp_path, damage):
+    def test_corrupt_artifacts_fall_back_to_live_capture(
+        self, tmp_path, damage, ledger
+    ):
         baseline = run_campaign(CONFIG)
         run_campaign(cached(tmp_path))  # warm the store
 
@@ -114,41 +110,42 @@ class TestCampaignBitIdentity:
                 bumped = bytes([MAGIC[-1] + 1])
                 path.write_bytes(MAGIC[:-1] + bumped + blob[len(MAGIC):])
 
-        runtime.reset_stats()
+        ledger.mark()
         rerun = run_campaign(cached(tmp_path))
         assert rerun.records == baseline.records
-        stats = runtime.stats()
+        stats = ledger()
         assert stats["artifact_corrupt"] == len(files)
         assert stats["golden_hits"] == 0
         assert stats["golden_misses"] == len(files)
         # The rerun re-published good artifacts over the corpses...
         assert stats["artifact_bytes_written"] > 0
-        runtime.reset_stats()
+        ledger.mark()
         final = run_campaign(cached(tmp_path))
         # ...so the next run is warm again.
         assert final.records == baseline.records
-        assert runtime.stats()["golden_misses"] == 0
+        assert ledger()["golden_misses"] == 0
 
-    def test_unwritable_store_counts_write_errors(self, tmp_path):
+    def test_unwritable_store_counts_write_errors(self, tmp_path, ledger):
         baseline = run_campaign(CONFIG)
         # A plain file where the store root should be (permission bits can't
         # make a directory unwritable for root, which is how CI runs).
         root = tmp_path / "cache"
         root.write_bytes(b"not a directory")
-        runtime.reset_stats()
+        ledger.mark()
         result = run_campaign(dataclasses.replace(CONFIG, artifacts=str(root)))
         assert result.records == baseline.records
-        stats = runtime.stats()
+        stats = ledger()
         assert stats["artifact_write_errors"] > 0
         assert stats["artifact_bytes_written"] == 0
 
-    def test_cache_disabled_never_touches_the_ledger(self, tmp_path):
+    def test_cache_disabled_never_touches_the_ledger(self, tmp_path, ledger):
         config = dataclasses.replace(cached(tmp_path), golden_cache=False)
         baseline = run_campaign(CONFIG)
+        ledger.mark()
         result = run_campaign(config)
         assert result.records == baseline.records
         assert artifact_files(tmp_path) == []
-        stats = runtime.stats()
+        stats = view(ARTIFACTS, ledger())
         # Capture seconds still accrue (they feed the campaign summary's
         # capture-vs-load time-share line, cache or no cache); every
         # cache-specific counter stays untouched.
@@ -157,16 +154,11 @@ class TestCampaignBitIdentity:
 
 
 class TestLedger:
-    def test_reset_preserves_counter_types(self):
-        runtime.STATS["golden_hits"] += 3
-        runtime.STATS["golden_capture_seconds"] += 1.5
-        runtime.reset_stats()
-        assert runtime.STATS["golden_hits"] == 0
-        assert isinstance(runtime.STATS["golden_hits"], int)
-        assert runtime.STATS["golden_capture_seconds"] == 0.0
-        assert isinstance(runtime.STATS["golden_capture_seconds"], float)
-
     def test_stats_returns_a_snapshot(self):
         snap = runtime.stats()
-        runtime.STATS["golden_hits"] += 1
-        assert snap["golden_hits"] == 0
+        LEDGER["golden_hits"] += 1
+        try:
+            assert runtime.stats()["golden_hits"] == snap["golden_hits"] + 1
+            assert snap == {**runtime.stats(), "golden_hits": snap["golden_hits"]}
+        finally:
+            LEDGER["golden_hits"] -= 1

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.artifacts import runtime, shm
 from repro.artifacts.shm import (
     SEGMENT_MAGIC,
     SegmentPublisher,
@@ -43,11 +42,9 @@ def shm_names() -> list[str]:
 
 @pytest.fixture(autouse=True)
 def clean_slate():
-    runtime.reset_stats()
     detach_all()
     yield
     detach_all()
-    runtime.reset_stats()
 
 
 class TestSegmentFormat:
@@ -128,12 +125,12 @@ class TestPublisher:
     def test_prepare_empty_is_none(self):
         assert SegmentPublisher().prepare(0, {}) is None
 
-    def test_prepare_is_idempotent_per_shard(self):
+    def test_prepare_is_idempotent_per_shard(self, ledger):
         publisher = SegmentPublisher()
         try:
             name = publisher.prepare(3, BLOBS)
             assert publisher.prepare(3, BLOBS) == name
-            assert publisher.stats["shm_segments"] == 1
+            assert ledger()["shm_segments"] == 1
             other = publisher.prepare(4, BLOBS)
             assert other != name
         finally:
@@ -178,7 +175,6 @@ class TestPooledCampaigns:
         baseline = FaultInjectionCampaign(CONFIG).run()
         config = dataclasses.replace(CONFIG, artifacts=str(tmp_path / "cache"))
         assert FaultInjectionCampaign(config).run().records == baseline.records
-        runtime.reset_stats()
         return baseline, config
 
     def test_warm_pool_serves_from_shm_and_cleans_up(self, warm):
@@ -188,8 +184,7 @@ class TestPooledCampaigns:
         assert result.records == baseline.records
         cache = telemetry.golden_cache_summary()
         assert cache["hit_rate"] == 1.0
-        # Zero counters are elided from the fold: a warm run records no miss.
-        assert cache.get("golden_misses", 0) == 0
+        assert cache["golden_misses"] == 0
         assert cache["shm_hits"] == cache["golden_hits"]
         assert cache["shm_segments"] == 4
         assert shm_names() == before, "engine exit leaked segments"

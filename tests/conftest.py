@@ -1,9 +1,13 @@
-"""Shared fixtures: a small mapped machine and program helpers."""
+"""Shared fixtures: a small mapped machine, program helpers, and a view of
+the counter ledger's growth."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro import counters
 from repro.machine import CPUCore, Memory, Region, parse_asm
 
 TEXT_BASE = 0x0010_0000
@@ -38,3 +42,22 @@ def assemble():
         return parse_asm(source, base=TEXT_BASE)
 
     return _assemble
+
+
+class LedgerDelta:
+    """The counter ledger's growth since the last :meth:`mark`."""
+
+    def __init__(self) -> None:
+        self.mark()
+
+    def mark(self) -> None:
+        self._before = counters.snapshot()
+
+    def __call__(self) -> Counter:
+        return counters.since(self._before)
+
+
+@pytest.fixture
+def ledger() -> LedgerDelta:
+    """Counter-ledger growth since the test started (re-``mark`` to restart)."""
+    return LedgerDelta()

@@ -40,30 +40,26 @@ class TestEveryInjectionIndex:
         assert len(laddered.ladder) >= 2, "activation too short to ladder"
         return hv, activation, baseline, laddered
 
-    def test_records_identical_at_every_index(self, setting):
+    def test_records_identical_at_every_index(self, setting, ledger):
         hv, activation, baseline, laddered = setting
         n = baseline.result.instructions
         fast_forwarded = 0
         for index in range(n):
             fault = FaultSpec("rbx", 17, index)
             scratch = run_trial(hv, activation, fault, golden=baseline)
-            before = dict(hv.ff_stats)
+            ledger.mark()
             fast = run_trial(hv, activation, fault, golden=laddered)
             assert fast == scratch, f"divergence at injection index {index}"
-            fast_forwarded += hv.ff_stats["fast_forwarded"] - before["fast_forwarded"]
+            fast_forwarded += ledger()["fast_forwarded"]
         # Rung 0 sits at index 0, so every single trial skips the prepare.
         assert fast_forwarded == n
 
-    def test_skip_accounting_matches_rung_indices(self, setting):
+    def test_skip_accounting_matches_rung_indices(self, setting, ledger):
         hv, activation, _, laddered = setting
-        before = dict(hv.ff_stats)
         run_trial(hv, activation, FaultSpec("rcx", 4, 40), golden=laddered)
         rung = max(r.index for r in laddered.ladder if r.index <= 40)
-        assert hv.ff_stats["trials"] == before["trials"] + 1
-        assert (
-            hv.ff_stats["instructions_skipped"]
-            == before["instructions_skipped"] + rung
-        )
+        assert ledger()["trials"] == 1
+        assert ledger()["instructions_skipped"] == rung
 
 
 class TestSideExitPrecision:
@@ -102,11 +98,11 @@ class TestSideExitPrecision:
                 f"({register} bit {bit})"
             )
 
-    def test_translated_machine_actually_translates(self, machines):
-        _, trans_hv, _, _, _ = machines
-        stats = trans_hv.translation_stats()
-        assert stats["block_executions"] > 0
-        assert stats["translated_instructions"] > 0
+    def test_translated_machine_actually_translates(self, machines, ledger):
+        _, trans_hv, activation, _, trans_golden = machines
+        run_trial(trans_hv, activation, FaultSpec("rbx", 17, 0), golden=trans_golden)
+        assert ledger()["block_executions"] > 0
+        assert ledger()["translated_instructions"] > 0
 
 
 class TestRecordsInvariance:
@@ -131,9 +127,10 @@ class TestRecordsInvariance:
         config = dataclasses.replace(self.CONFIG, translate=False)
         assert FaultInjectionCampaign(config).run().records == reference
 
-    def test_interval_zero_never_fast_forwards(self):
+    def test_interval_zero_never_fast_forwards(self, ledger):
         hv = XenHypervisor(seed=31)
         golden = capture_golden(hv, act("do_irq", 2), ladder_interval=0)
         assert golden.ladder == ()
         run_trial(hv, act("do_irq", 2), FaultSpec("rdx", 3, 5), golden=golden)
-        assert hv.ff_stats["fast_forwarded"] == 0
+        assert ledger()["trials"] == 1
+        assert ledger()["fast_forwarded"] == 0

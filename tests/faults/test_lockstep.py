@@ -26,7 +26,6 @@ from repro.faults import (
     run_twin_batch,
 )
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
-from repro.machine import lockstep
 from repro.machine.lockstep import DEAD, PEEL, TwinPlan, classify_twin
 
 
@@ -177,21 +176,14 @@ class TestTwinBatchEquivalence:
         )
         assert batch == oracle
 
-    def test_dead_twins_do_not_execute(self, setting):
+    def test_dead_twins_do_not_execute(self, setting, ledger):
         hv, activation, golden = setting
         n = golden.result.instructions
         faults = [FaultSpec("rbx", 17, index) for index in range(n)]
-        def executed_instructions() -> int:
-            return sum(
-                c.interpreted_instructions + c.translated_instructions
-                for c in hv.cores
-            )
-
-        before = dict(hv.lockstep_stats)
-        instructions_before = executed_instructions()
         records = run_twin_batch(hv, activation, faults, golden=golden)
-        dead = hv.lockstep_stats["dead_twins"] - before["dead_twins"]
-        peeled = hv.lockstep_stats["peeled_twins"] - before["peeled_twins"]
+        delta = ledger()
+        dead = delta["dead_twins"]
+        peeled = delta["peeled_twins"]
         assert dead + peeled == n and dead > 0 and peeled > 0
         # Dead twins synthesize non-activated benign records.
         synthesized = [r for r in records if r.detail == "non-activated"]
@@ -199,7 +191,7 @@ class TestTwinBatchEquivalence:
         assert all(not r.activated and not r.manifested for r in synthesized)
         # The trace replay + peels execute; dead twins must cost nothing
         # beyond that (strictly fewer instructions than running all n).
-        executed = executed_instructions() - instructions_before
+        executed = delta["interpreted_instructions"] + delta["translated_instructions"]
         assert executed < (n + 1) * golden.result.instructions
 
     def test_on_record_sees_every_record_in_order(self, setting):
@@ -276,25 +268,3 @@ class TestDifferentialFuzz:
             )
             total_twins += len(faults)
         assert total_twins > self.N_SCENARIOS  # every scenario swept indices
-
-
-class TestStatsLedgers:
-    """Per-machine and process-wide counters stay in sync."""
-
-    def test_global_ledger_mirrors_machine_ledger(self):
-        hv = XenHypervisor(seed=23)
-        activation = act("apic_timer", 3)
-        golden = capture_golden(hv, activation, ladder_interval=16)
-        faults = [FaultSpec("rbx", 9, i) for i in range(0, 60, 5)]
-        global_before = lockstep.stats()
-        machine_before = dict(hv.lockstep_stats)
-        run_twin_batch(hv, activation, faults, golden=golden)
-        global_delta = {
-            k: v - global_before[k] for k, v in lockstep.stats().items()
-        }
-        machine_delta = {
-            k: v - machine_before[k] for k, v in hv.lockstep_stats.items()
-        }
-        assert global_delta == machine_delta
-        assert global_delta["twins"] == len(faults)
-        assert global_delta["twin_batches"] == 1

@@ -217,7 +217,7 @@ class TestDifferentialFuzz:
         assert outcomes["halt"] >= 20, outcomes
         assert outcomes["fault"] >= 20, outcomes
 
-    def test_fuzz_corpus_translates_blocks(self):
+    def test_fuzz_corpus_translates_blocks(self, ledger):
         """The generated corpus compiles and reuses translated blocks."""
         rng = random.Random(0xD1FF)
         program = _random_program(rng)
@@ -229,4 +229,4 @@ class TestDifferentialFuzz:
         except SimulationEvent:
             pass
         assert translation.compiled_blocks > 0
-        assert core.translated_instructions > 0
+        assert ledger()["translated_instructions"] > 0

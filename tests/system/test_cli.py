@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro import cli
@@ -134,7 +136,7 @@ class TestExecution:
     def test_campaign_reports_when_nothing_went_undetected(self, capsys):
         """A finished campaign with no undetected manifested faults still
         renders its whole report, Table II included, and exits 0."""
-        assert main(["campaign", "--injections", "3", "--seed", "1",
+        assert main(["campaign", "--injections", "6", "--seed", "1",
                      "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "Table II" in out
@@ -159,6 +161,12 @@ class TestExecution:
         ("--retries", "-1"),
         ("--injections", "0"),
         ("--injections", "many"),
+        # Fewer injections than benchmarks: each benchmark would get one.
+        ("--injections", "3"),
+        ("--shard-timeout", "0"),
+        ("--shard-timeout", "-1"),
+        ("--chaos", "explode=1"),
+        ("--journal", "missing-dir/run.jsonl"),
     ])
     def test_campaign_bad_counts_exit_2_before_training(
         self, capsys, monkeypatch, flag, value
@@ -171,6 +179,36 @@ class TestExecution:
             main(["campaign", "--scale", "0.02", flag, value])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_train_bad_jobs_exit_2_before_collection(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_train", lambda args: pytest.fail("training started"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--scale", "0.02", "--jobs", "0"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_manifest_counters_match_the_summary(self, capsys, tmp_path):
+        """Serial and pooled journalled campaigns print the campaign phase's
+        twin line, and each manifest's machine counters say the same."""
+        argv = ["campaign", "--injections", "120", "--scale", "0.03", "--seed", "2"]
+        lines = {}
+        for jobs in ("1", "2"):
+            journal = tmp_path / f"jobs{jobs}.jsonl"
+            assert main(argv + ["--jobs", jobs, "--journal", str(journal)]) == 0
+            out = capsys.readouterr().out
+            assert "translation cache: " in out
+            machine = json.loads(
+                (tmp_path / f"jobs{jobs}.jsonl.manifest.json").read_text()
+            )["machine"]
+            twins = next(x for x in out.splitlines() if x.startswith("twin batching: "))
+            assert twins.startswith(
+                f"twin batching: {machine['twins']} twins in "
+                f"{machine['twin_batches']} batches, "
+                f"{machine['dead_twins']} settled without execution "
+            )
+            assert f"{machine['blocks_compiled']} blocks compiled" in out
+            lines[jobs] = twins
+        assert lines["1"] == lines["2"]
 
     def test_campaign_resume_requires_journal(self, capsys):
         assert main(["campaign", "--resume"]) == 2
