@@ -20,9 +20,8 @@ Two properties matter more than compactness:
   checkpoint of the group* — restoring the copy-on-write structural sharing
   :meth:`Memory.restore` exploits (its diff is by buffer identity).
 * **Mappable columns.**  TwinPlan position columns are raw little-endian
-  int64 runs at 8-aligned offsets, so a decoder handed a ``memoryview``
-  over a shared-memory segment builds its arrays with ``np.frombuffer`` —
-  zero-copy, every pool worker scanning the same physical pages.
+  int64 runs at 8-aligned offsets, so the decoder builds its arrays with
+  ``np.frombuffer`` over the artifact bytes — no per-element parsing.
 
 No pickle anywhere: a corrupt or adversarial artifact can fail to decode
 (:class:`ArtifactCorrupt`), never execute.  The trailing checksum makes
@@ -191,10 +190,8 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
     """Decode artifact bytes; raises :class:`ArtifactCorrupt` on anything
     that is not a checksummed, well-formed encoding.
 
-    When ``buf`` is a ``memoryview`` (a shared-memory segment), TwinPlan
-    columns become zero-copy ``np.frombuffer`` views and checkpoint pages
-    zero-copy sub-views of the segment; callers own the segment's lifetime
-    (pool workers keep their attachment mapped for the process lifetime).
+    TwinPlan columns are ``np.frombuffer`` views of ``buf`` and checkpoint
+    pages are sub-views of it, so the decoded payload keeps ``buf`` alive.
     """
     view = memoryview(buf)
     try:

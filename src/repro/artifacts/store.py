@@ -16,7 +16,7 @@ so last-rename-wins is harmless.  Reads are checksum-verified by the codec:
 a truncated, corrupted or version-bumped file *never* raises out of the
 store — it counts as ``artifact_corrupt`` and the campaign falls back to
 live capture, under the standing contract that trial records are
-byte-identical with the cache cold, warm, shared or disabled.
+byte-identical with the cache cold, warm, shared or absent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.artifacts.codec import ArtifactCorrupt, decode_group, encode_group
+from repro.artifacts.codec import ArtifactCorrupt, decode_group
 from repro.faults.campaign import CampaignConfig, benchmark_geometry
 
 __all__ = ["GoldenStore", "golden_digest"]
@@ -83,11 +83,11 @@ def golden_digest(config: CampaignConfig, benchmark: str, group: int) -> str:
 class GoldenStore:
     """Filesystem half of the artifact cache (one directory, many digests).
 
-    The store never raises on a bad artifact: :meth:`load_bytes` /
-    :meth:`load` return ``None`` for missing *and* corrupt files (corruption
-    is counted by the runtime layer), and :meth:`save` degrades to a no-op
-    on an unwritable directory — caching is an optimization, not a
-    correctness dependency.
+    :meth:`load` returns ``None`` for a missing or unreadable file and
+    raises :class:`ArtifactCorrupt` for a bad one (the runtime layer counts
+    it and captures live); :meth:`save` degrades to a no-op on an
+    unwritable directory — caching is an optimization, not a correctness
+    dependency.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -97,24 +97,14 @@ class GoldenStore:
         """Content-addressed location of one artifact."""
         return self.root / "golden" / digest[:2] / f"{digest}.art"
 
-    def load_bytes(self, digest: str) -> bytes | None:
-        """Raw artifact bytes, or ``None`` when absent/unreadable.
-
-        No validation happens here — the codec's checksum check runs at
-        decode time, which also covers bytes republished through shared
-        memory.
-        """
-        try:
-            return self.path_for(digest).read_bytes()
-        except OSError:
-            return None
-
     def load(self, digest: str, *, registry):
-        """Decode one artifact; ``None`` when absent, raises ArtifactCorrupt
-        for present-but-invalid bytes (the runtime layer converts that into
-        an ``artifact_corrupt`` count plus live-capture fallback)."""
-        blob = self.load_bytes(digest)
-        if blob is None:
+        """Decode one artifact; ``None`` when absent or unreadable, raises
+        ArtifactCorrupt for present-but-invalid bytes (the runtime layer
+        converts that into an ``artifact_corrupt`` count plus live-capture
+        fallback)."""
+        try:
+            blob = self.path_for(digest).read_bytes()
+        except OSError:
             return None
         payload = decode_group(blob, registry=registry)
         if payload.digest != digest:
@@ -146,11 +136,3 @@ class GoldenStore:
             except OSError:
                 pass
             return False
-
-    def encode(self, digest: str, golden, plan_state) -> bytes:
-        """Encode one group's products (thin codec passthrough)."""
-        return encode_group(digest, golden, plan_state)
-
-    def contains(self, digest: str) -> bool:
-        """True when an artifact file exists for ``digest`` (no validation)."""
-        return self.path_for(digest).is_file()

@@ -26,6 +26,7 @@ totals regardless of ``--batch-rows``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections.abc import Sequence
@@ -111,13 +112,17 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``(stream, fault-free runs, injection runs)`` at ``--scale 1``.
+_TRAINING_RUNS = (("train", 2000, 7800), ("test", 1000, 3900))
+
+
 def _train(args: argparse.Namespace):
     """Collect train+test sets, engine-backed (``--jobs``/``--journal-dir``)."""
     jobs = getattr(args, "jobs", 1)
     journal_dir = getattr(args, "journal_dir", None)
     resume = bool(journal_dir) and getattr(args, "resume", False)
     sets = {}
-    for stream, free, inj in (("train", 2000, 7800), ("test", 1000, 3900)):
+    for stream, free, inj in _TRAINING_RUNS:
         config = TrainingConfig(
             fault_free_runs=int(free * args.scale),
             injection_runs=int(inj * args.scale),
@@ -203,13 +208,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"FP {model.false_positive_rate:.2%}")
     detector = VMTransitionDetector.from_classifier(model.classifier)
     config = CampaignConfig(
-        n_injections=args.injections, seed=args.seed, trace=args.trace,
+        n_injections=args.injections, seed=args.seed,
         translate=not args.no_translate,
         twin_batch=not args.no_twin_batch,
         recover=args.recover,
         recovery_hazard=args.recovery_hazard,
         artifacts=args.artifacts,
-        golden_cache=not args.no_golden_cache,
     )
     if scenario is not None:
         config = scenario.apply(config)
@@ -336,6 +340,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve needs a stop condition: --max-rows or --duration",
               file=sys.stderr)
         return 2
+    if not Path(args.model).is_file():
+        print(f"--model: no such file: {args.model}", file=sys.stderr)
+        return 2
     artifact = load_model(args.model)
     accuracy = artifact.evaluation.get("accuracy")
     print(f"model: {artifact.name}"
@@ -452,6 +459,40 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _probability(*, allow_one: bool):
+    """An argparse ``type=`` accepting probabilities in [0, 1], or in
+    [0, 1) when ``allow_one`` is false."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {text!r}"
+            ) from None
+        if not (0.0 <= value < 1.0 or (allow_one and value == 1.0)):
+            bounds = "[0, 1]" if allow_one else "[0, 1)"
+            raise argparse.ArgumentTypeError(f"must be in {bounds}, got {text}")
+        return value
+
+    return parse
+
+
+def _scale(text: str) -> float:
+    """An argparse ``type=`` for ``--scale``: every run count ``_train``
+    derives from it must be at least 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    smallest = min(min(free, inj) for _, free, inj in _TRAINING_RUNS)
+    if not math.isfinite(value) or int(smallest * value) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least {1 / smallest:g}, got {text}"
+        )
+    return value
+
+
 def _chaos_spec(text: str) -> ChaosPolicy:
     """:func:`parse_chaos_spec` as an argparse ``type=``."""
     try:
@@ -477,16 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="platform inventory", parents=[common])
-    p.add_argument("--domains", type=int, default=3)
+    p.add_argument("--domains", type=_int_at_least(1), default=3)
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("rates", help="Fig. 3 activation-rate table", parents=[common])
     p.add_argument("--mode", choices=("pv", "hvm", "both"), default="both")
-    p.add_argument("--seconds", type=int, default=600)
+    p.add_argument("--seconds", type=_int_at_least(1), default=600)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("train", help="Section III.B classifier pipeline", parents=[common])
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for sample collection "
                         "(default: 1, serial; datasets are bit-identical)")
@@ -510,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Every benchmark gets at least one trial: fewer would be silently raised.
     p.add_argument("--injections", type=_int_at_least(len(BENCHMARK_NAMES)),
                    default=6000)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--output", metavar="PATH",
                    help="write trial records as JSON lines")
     p.add_argument("--records-from", metavar="PATH",
@@ -520,9 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "mixture, memory-subsystem targeting, workload "
                         "overrides; its campaign: section overrides CLI "
                         "flags (see examples/)")
-    p.add_argument("--trace", action="store_true",
-                   help="record full per-instruction address traces "
-                        "(slower; light count+path-hash tracing is the default)")
     p.add_argument("--no-translate", action="store_true",
                    help="disable the basic-block translation cache and run "
                         "every instruction through the interpreter "
@@ -535,17 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="content-addressed golden artifact cache: load cached "
                         "golden runs from DIR instead of re-executing them, "
                         "save newly captured ones there (records are "
-                        "bit-identical cold, warm, shared or disabled)")
-    p.add_argument("--no-golden-cache", action="store_true",
-                   help="disable the golden artifact cache even when "
-                        "--artifacts is set (always capture goldens live)")
+                        "bit-identical cold, warm or without a cache)")
     p.add_argument("--recover", choices=("reexecute", "microreboot", "ladder"),
                    default=None, metavar="POLICY",
                    help="run every detected trial through a recovery policy "
                         "(reexecute | microreboot | ladder) and record "
                         "survival, downtime and golden divergence")
-    p.add_argument("--recovery-hazard", type=float, default=0.0,
-                   metavar="PROB",
+    p.add_argument("--recovery-hazard", type=_probability(allow_one=False),
+                   default=0.0, metavar="PROB",
                    help="probability of a second soft error striking during "
                         "a recovery attempt (deterministic per trial/attempt; "
                         "default: 0)")
@@ -576,28 +611,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True, metavar="PATH",
                    help="model artifact from 'train --save-model'")
-    p.add_argument("--hosts", type=int, default=8,
+    p.add_argument("--hosts", type=_int_at_least(1), default=8,
                    help="simulated hypervisor hosts (default: 8)")
-    p.add_argument("--vms-per-host", type=int, default=4)
-    p.add_argument("--max-rows", type=int, default=None, metavar="N",
+    p.add_argument("--vms-per-host", type=_int_at_least(1), default=4)
+    p.add_argument("--max-rows", type=_int_at_least(1), default=None, metavar="N",
                    help="stop after N rows fleet-wide (deterministic mode: "
                         "totals are bit-identical across runs and batch sizes)")
-    p.add_argument("--duration", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--duration", type=_positive_float, default=None,
+                   metavar="SECONDS",
                    help="stop after a wall-clock budget instead of a row cap")
-    p.add_argument("--inject-fraction", type=float, default=0.02,
+    p.add_argument("--inject-fraction", type=_probability(allow_one=True),
+                   default=0.02,
                    help="fraction of rows carrying an injected fault "
                         "(default: 0.02)")
-    p.add_argument("--batch-rows", type=int, default=256,
+    p.add_argument("--batch-rows", type=_int_at_least(1), default=256,
                    help="micro-batch size drained per classify_batch call")
-    p.add_argument("--queue-depth", type=int, default=1024,
+    p.add_argument("--queue-depth", type=_int_at_least(1), default=1024,
                    help="bounded per-host queue depth (backpressure bound)")
     p.add_argument("--policy", choices=[pol.value for pol in OverflowPolicy],
                    default=OverflowPolicy.DROP_OLDEST.value,
                    help="full-queue policy (default: drop-oldest, counted "
                         "per host; block never drops)")
-    p.add_argument("--burst-every", type=int, default=0, metavar="TICKS",
+    p.add_argument("--burst-every", type=_int_at_least(0), default=0,
+                   metavar="TICKS",
                    help="emit a burst every N ticks (exercises backpressure)")
-    p.add_argument("--burst-rows", type=int, default=0,
+    p.add_argument("--burst-rows", type=_int_at_least(0), default=0,
                    help="extra rows per burst tick per host")
     p.add_argument("--port", type=int, default=0,
                    help="scrape endpoint port (default: 0 = ephemeral)")

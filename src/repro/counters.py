@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 __all__ = [
-    "ARTIFACTS", "FAST_FORWARD", "GOLDEN_CACHE", "LEDGER", "MACHINE",
+    "ARTIFACTS", "FAST_FORWARD", "LEDGER", "MACHINE",
     "TRANSLATION", "TWINS", "derived", "since", "snapshot", "view",
 ]
 
@@ -38,18 +38,16 @@ TWINS = (
     "synthesized_instructions", "read_ff_instructions",
 )
 #: Golden artifact cache: hits and misses (their sum is the number of groups
-#: that consulted the cache), the zero-copy ``shm_hits`` subset, rejected
-#: artifacts, chaos segment losses, bytes moved, capture-vs-load seconds.
+#: that consulted the cache), rejected artifacts, bytes moved, capture-vs-load
+#: seconds.  The manifest's ``golden_cache`` section.
 ARTIFACTS = (
-    "golden_hits", "golden_misses", "shm_hits", "shm_lost", "artifact_corrupt",
+    "golden_hits", "golden_misses", "artifact_corrupt",
     "artifact_bytes_loaded", "artifact_bytes_written", "artifact_write_errors",
     "golden_capture_seconds", "golden_load_seconds",
 )
 
-#: The manifest's two counter sections; ``golden_cache`` adds the parent's
-#: shared-memory publications.
+#: The manifest's ``machine`` section.
 MACHINE = FAST_FORWARD + TRANSLATION + TWINS
-GOLDEN_CACHE = ARTIFACTS + ("shm_segments", "shm_bytes")
 
 
 def snapshot() -> Counter:

@@ -20,9 +20,6 @@ from collections import Counter
 from pathlib import Path
 
 from repro import counters
-from repro.artifacts import shm as artifacts_shm
-from repro.artifacts.runtime import golden_source_for
-from repro.artifacts.store import GoldenStore, golden_digest
 from repro.engine.chaos import ChaosPolicy, ChaosTripwire
 from repro.engine.journal import TrialJournal, read_state
 from repro.engine.planner import CampaignPlan, ShardPlan, plan_campaign
@@ -60,44 +57,27 @@ def execute_shard(
     chaos: ChaosPolicy | None = None,
     attempt: int = 0,
     allow_hard: bool = True,
-    segment: str | None = None,
 ) -> tuple[list[tuple[int, TrialRecord]], Counter]:
     """Run every slice of ``shard``; return its records plus counter delta.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config (bit-identical to the serial campaign's, which
-    resets to post-boot state before each benchmark anyway).  ``chaos`` and
+    resets to post-boot state before each benchmark anyway) and read cached
+    goldens straight from the config's artifact store.  ``chaos`` and
     ``attempt`` arm the deterministic chaos tripwire for this execution —
     the tripwire only observes record counts, never the records themselves.
-
-    ``segment`` names a shared-memory segment the parent pre-published with
-    this shard's golden artifacts; the worker maps it instead of re-reading
-    the store (and instead of re-executing goldens).  The returned trials
-    come paired with this execution's counter-ledger delta
-    (:mod:`repro.counters`), so the run manifest covers the workers.
+    The returned trials come paired with this execution's counter-ledger
+    delta (:mod:`repro.counters`), so the run manifest covers the workers.
     """
     tripwire = None
     if chaos is not None:
         plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
         if not plan.quiet:
             tripwire = ChaosTripwire(plan)
+            tripwire.step()  # faults positioned "before the first trial"
     before = counters.snapshot()
-    golden_source = golden_source_for(config, segment=segment)
-    if tripwire is not None and golden_source is not None:
-        def _lose_segment() -> None:
-            # The chaos ``shm_lost`` effect: the worker's shared segment
-            # vanishes mid-shard and its artifact source refuses further
-            # loads, so every remaining group falls back to live capture.
-            counters.LEDGER["shm_lost"] += 1
-            if segment is not None:
-                artifacts_shm.unlink_segment(segment)
-            golden_source.poison()
-        tripwire.arm_shm(_lose_segment)
-    if tripwire is not None:
-        tripwire.step()  # faults positioned "before the first trial"
     hv = XenHypervisor(
-        n_domains=config.n_domains, seed=config.seed,
-        light_trace=not config.trace, translate=config.translate,
+        n_domains=config.n_domains, seed=config.seed, translate=config.translate,
     )
     out: list[tuple[int, TrialRecord]] = []
     for s in shard.slices:
@@ -105,55 +85,9 @@ def execute_shard(
             config, s.benchmark, s.group_start, s.group_stop,
             hv=hv, detector=detector,
             on_record=tripwire.step if tripwire is not None else None,
-            golden_source=golden_source,
         )
         out.extend(enumerate(records, start=s.trial_start))
     return out, counters.since(before)
-
-
-class _ShardSegments:
-    """Parent-side zero-copy distribution of cached golden artifacts.
-
-    For each shard about to be submitted, :meth:`acquire` reads the shard's
-    cached golden artifacts from the on-disk store (raw bytes, unverified —
-    workers checksum at decode) and publishes them as one shared-memory
-    segment; pool workers map that segment read-only instead of re-reading
-    the store once per worker, or worse, re-executing the goldens.  The
-    supervisor calls :meth:`release` when the shard reaches a terminal state
-    (merged or quarantined), and the engine's :meth:`close` backstops any
-    segment still live when the run unwinds, so ``/dev/shm`` is clean on
-    every exit path.
-    """
-
-    def __init__(self, config: CampaignConfig) -> None:
-        self._config = config
-        self._store = GoldenStore(config.artifacts)
-        self._publisher = artifacts_shm.SegmentPublisher()
-
-    def acquire(self, shard: ShardPlan) -> str | None:
-        """Publish ``shard``'s cached goldens; return the segment name.
-
-        Returns ``None`` — the worker falls back to store reads and live
-        capture — when nothing is cached yet (a cold first run) or shared
-        memory is unavailable.  Idempotent per shard: a retried attempt
-        reuses the segment already published for it.
-        """
-        blobs: dict[str, bytes] = {}
-        for s in shard.slices:
-            for group in range(s.group_start, s.group_stop):
-                digest = golden_digest(self._config, s.benchmark, group)
-                raw = self._store.load_bytes(digest)
-                if raw is not None:
-                    blobs[digest] = raw
-        return self._publisher.prepare(shard.index, blobs)
-
-    def release(self, shard_index: int) -> None:
-        """Unlink the shard's segment (terminal states only)."""
-        self._publisher.finished(shard_index)
-
-    def close(self) -> None:
-        """Unlink every remaining segment (run teardown backstop)."""
-        self._publisher.close_all()
 
 
 class CampaignEngine:
@@ -244,8 +178,6 @@ class CampaignEngine:
             dict(journal.state.completed) if journal is not None else {}
         )
         failures: dict[int, ShardFailure] = {}
-        segments: _ShardSegments | None = None
-        before = counters.snapshot()
         try:
             pending = [s for s in plan.shards if s.index not in done]
             self.telemetry.emit(
@@ -263,14 +195,6 @@ class CampaignEngine:
                         shard=index, n_trials=len(trials), elapsed=0.0, resumed=True
                     )
                 )
-            if (
-                self.jobs > 1
-                and pending
-                and self.config.artifacts
-                and getattr(self.config, "golden_cache", True)
-                and not self.config.trace
-            ):
-                segments = _ShardSegments(self.config)
             supervisor = ShardSupervisor(
                 self.config,
                 execute=execute_shard,
@@ -281,18 +205,9 @@ class CampaignEngine:
                 chaos=self.chaos,
                 telemetry=self.telemetry,
                 journal=journal,
-                segments=segments,
             )
             failures = supervisor.run(pending, done)
         finally:
-            # Segment teardown first: /dev/shm must be clean on every exit
-            # path, and the publication counters have to land before the
-            # manifest snapshot below.  Segments exist only with a pool, so
-            # this process ran no shard and its own ledger growth is the
-            # publication alone.
-            if segments is not None:
-                segments.close()
-                self.telemetry.counters.update(counters.since(before))
             # The manifest snapshot must survive any failure mode — it is
             # written first so a failing journal close cannot cost it, and
             # best-effort so an unwritable manifest cannot mask the real

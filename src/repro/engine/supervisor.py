@@ -231,7 +231,6 @@ class ShardSupervisor:
         chaos: ChaosPolicy | None = None,
         telemetry: EngineTelemetry | None = None,
         journal: TrialJournal | None = None,
-        segments=None,
     ) -> None:
         if shard_timeout is not None and shard_timeout <= 0:
             raise CampaignConfigError("shard_timeout must be positive")
@@ -244,14 +243,6 @@ class ShardSupervisor:
         self.chaos = chaos
         self.telemetry = telemetry or EngineTelemetry()
         self.journal = journal
-        #: Optional shared-memory golden-segment provider (the engine's
-        #: ``_ShardSegments``): ``acquire(shard)`` publishes the shard's
-        #: cached golden artifacts and returns the segment name (or ``None``),
-        #: ``release(index)`` unlinks it once the shard reaches a terminal
-        #: state (merged or quarantined).  Retried attempts reuse the live
-        #: segment — ``acquire`` is idempotent per shard — so a crash-retry
-        #: cycle never republishes or leaks.
-        self.segments = segments
         self._state = _SupervisedState()
 
     # -- public entry ---------------------------------------------------------
@@ -350,13 +341,10 @@ class ShardSupervisor:
                     ShardStarted(shard=run.shard.index, n_trials=run.shard.n_trials)
                 )
             run.started = time.monotonic()
-            kwargs: dict = {"chaos": self.chaos, "attempt": run.attempt}
-            if self.segments is not None:
-                kwargs["segment"] = self.segments.acquire(run.shard)
             try:
                 future = pool.submit(
                     self.execute, self.config, run.shard, self.detector,
-                    **kwargs,
+                    chaos=self.chaos, attempt=run.attempt,
                 )
             except BrokenProcessPool:
                 # The pool died between batches.  This run never started, so
@@ -520,8 +508,6 @@ class ShardSupervisor:
     def _quarantine(self, shard: ShardPlan, log: list[AttemptFailure]) -> None:
         failure = ShardFailure(shard=shard.index, attempts=tuple(log))
         self._state.failures[shard.index] = failure
-        if self.segments is not None:
-            self.segments.release(shard.index)
         last = failure.last
         self.telemetry.emit(
             ShardQuarantined(
@@ -545,8 +531,6 @@ class ShardSupervisor:
         if self.journal is not None:
             self._journal_append(shard, trials)
         done[shard.index] = trials
-        if self.segments is not None:
-            self.segments.release(shard.index)
         self.telemetry.record_outcomes(r for _, r in trials)
         self.telemetry.counters.update(delta)
         self.telemetry.emit(

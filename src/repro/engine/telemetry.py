@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.counters import GOLDEN_CACHE, MACHINE, derived, view
+from repro.counters import ARTIFACTS, MACHINE, derived, view
 from repro.faults.outcomes import TrialRecord
 
 __all__ = [
@@ -260,7 +260,7 @@ class EngineTelemetry:
     @property
     def artifact_stats(self) -> dict[str, int | float]:
         """The run's golden artifact-cache counters."""
-        return view(GOLDEN_CACHE, self.counters)
+        return view(ARTIFACTS, self.counters)
 
     def machine_summary(self) -> dict:
         """The manifest's ``machine`` section: machine counters plus rates."""

@@ -67,11 +67,6 @@ class CampaignConfig:
     #: continue to observe if it can be detected").
     followup_activations: int = 8
     fault_model: FaultModel = field(default_factory=FaultModel)
-    #: Record full per-instruction address traces.  The campaign's detection
-    #: science needs only the light tracer (count + path hash); the full
-    #: trace exists for debugging/analysis and costs throughput.  Excluded
-    #: from the engine's config digest: it cannot change trial records.
-    trace: bool = False
     #: Dynamic-instruction spacing of the golden run's mid-run checkpoint
     #: ladder; faulty runs fast-forward to the rung at-or-before their
     #: injection index.  0 disables the ladder (every trial replays the whole
@@ -107,13 +102,10 @@ class CampaignConfig:
     #: Root directory of the content-addressed golden artifact store
     #: (:mod:`repro.artifacts`).  Golden groups found there are loaded
     #: instead of captured live, and live captures are published back for
-    #: the next run.  Excluded from the config digest: records are
-    #: byte-identical with the cache cold, warm, shared, or disabled.
+    #: the next run.  ``None`` (the default) captures every golden live.
+    #: Excluded from the config digest: records are byte-identical with the
+    #: cache cold, warm, shared, or absent.
     artifacts: str | None = None
-    #: Master switch for the golden artifact cache (``--no-golden-cache``
-    #: forces live capture even with ``artifacts`` set).  Excluded from the
-    #: config digest for the same reason as ``artifacts``.
-    golden_cache: bool = True
 
     def __post_init__(self) -> None:
         if not self.benchmarks:
@@ -218,7 +210,6 @@ def run_benchmark_groups(
     hv: XenHypervisor | None = None,
     detector: TransitionDetector | None = None,
     on_record: Callable[[TrialRecord], None] | None = None,
-    golden_source=None,
 ) -> list[TrialRecord]:
     """Execute golden groups ``[group_start, group_stop)`` of one benchmark.
 
@@ -229,15 +220,15 @@ def run_benchmark_groups(
     exactly the trials the serial run would produce for those groups —
     merged shards are bit-identical to a serial run of the same root seed.
 
-    ``golden_source`` is the artifact cache's capture-or-load policy
-    (:class:`repro.artifacts.runtime.GoldenSource`); by default it is derived
-    from the config (engine workers pass one carrying their shard's
-    shared-memory segment).  A cached group skips golden capture — and the
-    full-trace TwinPlan replay — entirely; the warmup burst always runs live
-    because it ages the machine the *trials* then perturb.  Records are
-    byte-identical either way: golden products are a pure function of the
-    digest the store keys them by, and every trial restores captured state
-    before executing.
+    With ``config.artifacts`` set, each group goes through the artifact
+    cache's capture-or-load policy
+    (:class:`repro.artifacts.runtime.GoldenSource`), in the serial campaign
+    and in every pool worker alike.  A cached group skips golden capture —
+    and the full-trace TwinPlan replay — entirely; the warmup burst always
+    runs live because it ages the machine the *trials* then perturb.
+    Records are byte-identical either way: golden products are a pure
+    function of the digest the store keys them by, and every trial restores
+    captured state before executing.
     """
     # Lazy import: repro.artifacts.store imports this module for the config
     # and geometry types.
@@ -250,12 +241,11 @@ def run_benchmark_groups(
             f"group range [{group_start}, {group_stop}) outside "
             f"[0, {geo.n_goldens}] for benchmark {benchmark!r}"
         )
-    if golden_source is None:
-        golden_source = golden_source_for(config)
+    golden_source = golden_source_for(config)
     if hv is None:
         hv = XenHypervisor(
             n_domains=config.n_domains, seed=config.seed,
-            light_trace=not config.trace, translate=config.translate,
+            translate=config.translate,
         )
     profile = get_profile(benchmark)
     if config.scenario is not None:
@@ -412,7 +402,7 @@ class FaultInjectionCampaign:
         self.detector = detector
         self.hv = hypervisor or XenHypervisor(
             n_domains=config.n_domains, seed=config.seed,
-            light_trace=not config.trace, translate=config.translate,
+            translate=config.translate,
         )
 
     def run(self, *, progress: Callable[[int, int], None] | None = None) -> CampaignResult:

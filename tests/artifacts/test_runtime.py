@@ -2,9 +2,9 @@
 
 The standing contract of the whole subsystem, asserted here end to end on a
 real (small) campaign: trial records are byte-identical with the cache cold,
-warm, corrupted, unwritable, or disabled.  Corruption surfaces only as an
-``artifact_corrupt`` count in the ledger — never an exception, never a
-changed record.
+warm, corrupted, unwritable, or absent, serial or pooled.  Corruption
+surfaces only as an ``artifact_corrupt`` count in the ledger — never an
+exception, never a changed record.
 """
 
 import dataclasses
@@ -14,8 +14,8 @@ import pytest
 from repro.artifacts import runtime
 from repro.artifacts.codec import MAGIC
 from repro.artifacts.runtime import GoldenSource, golden_source_for
-from repro.artifacts.store import GoldenStore
 from repro.counters import ARTIFACTS, LEDGER, view
+from repro.engine import CampaignEngine, ChaosPolicy, EngineTelemetry
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
 CONFIG = CampaignConfig(
@@ -36,39 +36,10 @@ def artifact_files(tmp_path):
 
 
 class TestSourcePolicy:
-    def test_no_store_no_segment_is_no_source(self):
-        assert golden_source_for(CONFIG) is None
-
     def test_cache_disabled_is_no_source(self, tmp_path):
-        config = dataclasses.replace(cached(tmp_path), golden_cache=False)
-        assert golden_source_for(config) is None
-
-    def test_trace_campaigns_never_cache(self, tmp_path):
-        config = dataclasses.replace(cached(tmp_path), trace=True)
-        assert golden_source_for(config) is None
-
-    def test_store_only_and_segment_only_sources(self, tmp_path):
-        source = golden_source_for(cached(tmp_path))
-        assert isinstance(source, GoldenSource)
-        assert source.store is not None and source.segment is None
-        source = golden_source_for(CONFIG, segment="xgold-nope")
-        assert isinstance(source, GoldenSource)
-        assert source.store is None and source.segment == "xgold-nope"
-
-    def test_poisoned_source_neither_serves_nor_saves(self, tmp_path, ledger):
-        source = golden_source_for(cached(tmp_path))
-        source.poison()
-        assert source.acquire("mcf", 0, registry=None) is None
-        source.offer("mcf", 0, None, None)  # must not touch the store
-        assert artifact_files(tmp_path) == []
-        # A poisoned source was never consulted: no hit, no miss.
-        assert ledger()["golden_hits"] == 0
-        assert ledger()["golden_misses"] == 0
-
-    def test_vanished_segment_falls_back_silently(self, ledger):
-        source = golden_source_for(CONFIG, segment="xgold-000000000000")
-        assert source.acquire("mcf", 0, registry=None) is None
-        assert ledger()["golden_misses"] == 1
+        # Caching is on exactly when an artifact store is configured.
+        assert golden_source_for(CONFIG) is None
+        assert isinstance(golden_source_for(cached(tmp_path)), GoldenSource)
 
 
 class TestCampaignBitIdentity:
@@ -138,19 +109,66 @@ class TestCampaignBitIdentity:
         assert stats["artifact_write_errors"] > 0
         assert stats["artifact_bytes_written"] == 0
 
-    def test_cache_disabled_never_touches_the_ledger(self, tmp_path, ledger):
-        config = dataclasses.replace(cached(tmp_path), golden_cache=False)
+    def test_cache_disabled_never_touches_the_ledger(self, ledger):
         baseline = run_campaign(CONFIG)
         ledger.mark()
-        result = run_campaign(config)
+        result = run_campaign(CONFIG)
         assert result.records == baseline.records
-        assert artifact_files(tmp_path) == []
         stats = view(ARTIFACTS, ledger())
         # Capture seconds still accrue (they feed the campaign summary's
         # capture-vs-load time-share line, cache or no cache); every
         # cache-specific counter stays untouched.
         assert stats.pop("golden_capture_seconds") > 0.0
         assert all(not v for v in stats.values())
+
+
+class TestPooledCampaigns:
+    """Pool workers read the store directly, one shard at a time."""
+
+    def run_engine(self, config, *, chaos=None):
+        telemetry = EngineTelemetry()
+        result = CampaignEngine(
+            config, jobs=2, n_shards=4, telemetry=telemetry, chaos=chaos
+        ).run()
+        return result, telemetry.golden_cache_summary()
+
+    @pytest.fixture()
+    def warm(self, tmp_path):
+        """Baseline records + a store warmed by a serial cold run."""
+        baseline = run_campaign(CONFIG)
+        config = cached(tmp_path)
+        assert run_campaign(config).records == baseline.records
+        return baseline, config
+
+    def test_warm_pool_serves_every_group_from_the_store(self, warm):
+        baseline, config = warm
+        result, cache = self.run_engine(config)
+        assert result.records == baseline.records
+        assert cache["hit_rate"] == 1.0
+        assert cache["golden_misses"] == 0
+        assert cache["artifact_bytes_loaded"] > 0
+
+    def test_pool_rebuilds_keep_records_and_hits(self, warm):
+        # Hard crashes kill workers mid-shard and force pool rebuilds; the
+        # retried attempts read the same store again.
+        baseline, config = warm
+        chaos = ChaosPolicy(seed=1, hard_crash_rate=0.5, only_attempt=0)
+        result, cache = self.run_engine(config, chaos=chaos)
+        assert result.records == baseline.records
+        assert cache["golden_misses"] == 0
+
+    def test_truncated_artifact_falls_back_mid_run(self, warm, tmp_path):
+        # One group's artifact goes bad between runs: its worker captures
+        # that group live and every other group is still served cached.
+        baseline, config = warm
+        files = artifact_files(tmp_path)
+        victim = files[len(files) // 2]
+        victim.write_bytes(victim.read_bytes()[:100])
+        result, cache = self.run_engine(config)
+        assert result.records == baseline.records
+        assert cache["artifact_corrupt"] == 1
+        assert cache["golden_misses"] == 1
+        assert cache["golden_hits"] == len(files) - 1
 
 
 class TestLedger:

@@ -5,7 +5,7 @@ mid-run machine checkpoint at-or-before the injection index instead of
 re-executing the whole golden prefix.  These tests hold that optimization
 to the determinism contract: for *every* injection index, the fast-forward
 path must produce a trial record bit-identical to full re-execution, and
-campaign records must be invariant to the ladder interval and tracer mode.
+campaign records must be invariant to the ladder interval and translation.
 """
 
 import dataclasses
@@ -117,10 +117,6 @@ class TestRecordsInvariance:
     @pytest.mark.parametrize("interval", [0, 1, 7, 500])
     def test_ladder_interval_does_not_change_records(self, reference, interval):
         config = dataclasses.replace(self.CONFIG, ladder_interval=interval)
-        assert FaultInjectionCampaign(config).run().records == reference
-
-    def test_full_tracing_does_not_change_records(self, reference):
-        config = dataclasses.replace(self.CONFIG, trace=True)
         assert FaultInjectionCampaign(config).run().records == reference
 
     def test_disabling_translation_does_not_change_records(self, reference):

@@ -102,6 +102,27 @@ class TestDeterminism:
         assert second.instructions < first.instructions
 
 
+class TestTracerModes:
+    """The full tracer that ``trace_plan`` and ``machine.debug`` use records
+    addresses on the side; it must not perturb execution."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("grant_table_op", (20, 1)),
+        ("mmu_update", (10, 1)),
+        ("event_channel_op", (5, 0)),
+    ], ids=["grant_table_op", "mmu_update", "event_channel_op"])
+    def test_full_tracer_does_not_perturb(self, name, args):
+        light = XenHypervisor(seed=42, light_trace=True)
+        full = XenHypervisor(seed=42, light_trace=False)
+        for seq in range(2):  # the second run sees state the first left
+            a = act(name, *args, seq=seq)
+            assert full.execute(a) == light.execute(a)
+            assert full.cpu.tracer.count == light.cpu.tracer.count
+            assert full.cpu.tracer.path_hash == light.cpu.tracer.path_hash
+            assert len(full.cpu.tracer.addresses) == full.cpu.tracer.count
+            assert light.cpu.tracer.addresses == []
+
+
 class TestEventChannelSemantics:
     def test_send_sets_pending_bit_and_marks_vcpu(self, hv):
         hv.reset()

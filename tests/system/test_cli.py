@@ -166,7 +166,15 @@ class TestExecution:
         ("--shard-timeout", "0"),
         ("--shard-timeout", "-1"),
         ("--chaos", "explode=1"),
+        ("--chaos", "shm=0.5"),
         ("--journal", "missing-dir/run.jsonl"),
+        ("--recovery-hazard", "1.5"),
+        ("--recovery-hazard", "1"),
+        ("--recovery-hazard", "-0.1"),
+        # Any scale that makes one of training's run counts zero.
+        ("--scale", "0"),
+        ("--scale", "-1"),
+        ("--scale", "0.0005"),
     ])
     def test_campaign_bad_counts_exit_2_before_training(
         self, capsys, monkeypatch, flag, value
@@ -180,12 +188,59 @@ class TestExecution:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_train_bad_jobs_exit_2_before_collection(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag", ["--trace", "--no-golden-cache"])
+    def test_trace_and_cache_flags_are_unrecognized(
+        self, capsys, monkeypatch, flag
+    ):
         monkeypatch.setattr(cli, "_train", lambda args: pytest.fail("training started"))
         with pytest.raises(SystemExit) as excinfo:
-            main(["train", "--scale", "0.02", "--jobs", "0"])
+            main(["campaign", "--scale", "0.02", flag])
         assert excinfo.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"),
+        ("--scale", "0"),
+        ("--scale", "-1"),
+        ("--scale", "0.0005"),
+    ])
+    def test_train_bad_jobs_exit_2_before_collection(
+        self, capsys, monkeypatch, flag, value
+    ):
+        monkeypatch.setattr(cli, "_train", lambda args: pytest.fail("training started"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--scale", "0.02", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("serve", "--hosts", "0"),
+        ("serve", "--vms-per-host", "0"),
+        ("serve", "--batch-rows", "0"),
+        ("serve", "--queue-depth", "0"),
+        ("serve", "--max-rows", "0"),
+        ("serve", "--inject-fraction", "2"),
+        ("serve", "--burst-every", "-1"),
+        ("serve", "--burst-rows", "-1"),
+        ("serve", "--duration", "-1"),
+        ("serve", "--model", "missing-model.json"),
+        ("info", "--domains", "0"),
+        ("rates", "--seconds", "0"),
+    ])
+    def test_bad_values_exit_2_naming_the_flag(self, capsys, tmp_path,
+                                               monkeypatch, command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        if command == "serve":
+            # Otherwise valid: an existing model file and a stop condition.
+            (tmp_path / "m.json").write_text("{}")
+            argv += ["--model", "m.json", "--max-rows", "10"]
+        try:
+            code = main(argv + [flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err
 
     def test_manifest_counters_match_the_summary(self, capsys, tmp_path):
         """Serial and pooled journalled campaigns print the campaign phase's
