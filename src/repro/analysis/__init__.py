@@ -16,7 +16,6 @@ from repro.analysis.coverage import (
 from repro.analysis.journals import (
     dataset_from_journal,
     journal_progress,
-    merge_journals,
     records_from_journal,
     sample_journal_progress,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "bit_band_sensitivity",
     "journal_progress",
     "long_latency_breakdown",
-    "merge_journals",
     "records_from_journal",
     "register_sensitivity",
     "sample_journal_progress",

@@ -1,10 +1,10 @@
-"""Merge and report campaign results from engine trial journals.
+"""Report campaign results and training samples from engine journals.
 
 The engine's journal (:mod:`repro.engine.journal`) is the durable artifact a
 long campaign leaves behind — including one that is still running or was
 killed.  This module reads journals from the *analysis* side: recover the
-record sequence for reporting, merge the journals of a campaign split across
-machines, and summarize in-flight progress without touching the engine.
+record or sample sequence for reporting, and summarize in-flight progress
+without touching the engine.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from repro.engine.journal import SampleJournal, read_state
+from repro.engine.journal import JournalState, SampleJournal, read_state
 from repro.errors import JournalError
 from repro.faults.outcomes import TrialRecord
 from repro.ml.dataset import Dataset
@@ -20,96 +20,55 @@ from repro.ml.dataset import Dataset
 __all__ = [
     "dataset_from_journal",
     "journal_progress",
-    "merge_journals",
     "records_from_journal",
     "sample_journal_progress",
 ]
 
 
-def records_from_journal(
-    path: str | Path, *, include_partial: bool = True
-) -> tuple[TrialRecord, ...]:
+def _by_index(state: JournalState, *, partial: bool) -> list:
+    """A journal's items in index order; ``partial`` also admits items of
+    shards that never reached their completion marker."""
+    by_index = {}
+    sources = list(state.completed.values())
+    if partial:
+        sources.extend(state.partial.values())
+    for items in sources:
+        for index, item in items:
+            by_index[index] = item
+    return [item for _, item in sorted(by_index.items())]
+
+
+def records_from_journal(path: str | Path) -> tuple[TrialRecord, ...]:
     """Recover trial records from a journal, in serial (trial-index) order.
 
-    ``include_partial`` also yields trials journalled by shards that never
-    reached their completion marker — useful for peeking at a campaign that
-    is still running (or died); pass ``False`` for only durably completed
-    shards.  The result of a *finished* campaign equals the serial
-    campaign's record tuple.
+    Trials of shards that never reached their completion marker are included
+    too, so a campaign that is still running (or died) can be peeked at.
+    The result of a *finished* campaign equals the serial campaign's record
+    tuple.
     """
     state = read_state(path)
     if state is None:
         raise JournalError(f"{path}: no journal found")
-    by_trial: dict[int, TrialRecord] = {}
-    sources = list(state.completed.values())
-    if include_partial:
-        sources.extend(state.partial.values())
-    for trials in sources:
-        for t, record in trials:
-            by_trial[t] = record
-    return tuple(record for _, record in sorted(by_trial.items()))
+    return tuple(_by_index(state, partial=True))
 
 
-def merge_journals(paths: list[str | Path]) -> tuple[TrialRecord, ...]:
-    """Merge several journals of the *same* campaign into one record sequence.
-
-    Supports splitting a campaign across machines: each machine journals the
-    shards it ran; the union reconstructs the serial sequence.  All journals
-    must carry the same config digest — merging unrelated campaigns is a
-    :class:`JournalError`, and so is a trial recorded twice with diverging
-    shard ownership across files (records for the same trial index are
-    deduplicated, last file wins, matching resume semantics).
-    """
-    if not paths:
-        raise JournalError("no journals to merge")
-    digest: str | None = None
-    by_trial: dict[int, TrialRecord] = {}
-    for path in paths:
-        state = read_state(path)
-        if state is None:
-            raise JournalError(f"{path}: no journal found")
-        if digest is None:
-            digest = state.digest
-        elif state.digest != digest:
-            raise JournalError(
-                f"{path}: digest {state.digest} does not match {digest}; "
-                "these journals belong to different campaigns"
-            )
-        for trials in list(state.completed.values()) + list(state.partial.values()):
-            for t, record in trials:
-                by_trial[t] = record
-    return tuple(record for _, record in sorted(by_trial.items()))
-
-
-def dataset_from_journal(
-    path: str | Path, *, include_partial: bool = False
-) -> Dataset:
+def dataset_from_journal(path: str | Path) -> Dataset:
     """Rebuild a labeled dataset from a training sample journal.
 
     The analysis-side counterpart of engine-backed
     :func:`~repro.xentry.training.collect_dataset`: samples are ordered by
     global run index, so a journal of a *finished* collection reconstructs
-    exactly the dataset the collection returned.  ``include_partial`` also
-    admits samples from shards that never reached their completion marker —
-    useful for peeking at an in-flight or killed collection, but such a
-    dataset is truncated and its class balance untrustworthy for training.
+    exactly the dataset the collection returned.  Only durably completed
+    shards count — a partial shard would truncate the dataset and skew its
+    class balance.
     """
     state = SampleJournal.read(path)
     if state is None:
         raise JournalError(f"{path}: no sample journal found")
-    by_run: dict[int, tuple] = {}
-    sources = list(state.completed.values())
-    if include_partial:
-        sources.extend(state.partial.values())
-    for items in sources:
-        for run, sample in items:
-            by_run[run] = sample
-    samples = []
-    labels = []
-    for _, (features, label) in sorted(by_run.items()):
-        samples.append(features)
-        labels.append(label)
-    return Dataset.from_samples(samples, labels)
+    samples = _by_index(state, partial=False)
+    return Dataset.from_samples(
+        [features for features, _ in samples], [label for _, label in samples]
+    )
 
 
 def sample_journal_progress(path: str | Path) -> dict:

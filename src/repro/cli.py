@@ -56,7 +56,7 @@ from repro.engine import (
 )
 from repro.engine.journal import JOURNAL_FORMAT
 from repro.errors import CampaignConfigError
-from repro.faults import CampaignConfig, FaultInjectionCampaign
+from repro.faults import CampaignConfig
 from repro.hypervisor import ExitCategory, REGISTRY, XenHypervisor
 from repro.ml import compile_tree
 from repro.persist import load_model, load_records, save_model, save_records, save_rules
@@ -116,6 +116,20 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 _TRAINING_RUNS = (("train", 2000, 7800), ("test", 1000, 3900))
 
 
+def _sample_journal(directory: str | Path, stream: str) -> Path:
+    """Where ``train --journal-dir`` keeps one stream's sample journal."""
+    return Path(directory) / f"{stream}.samples.jsonl"
+
+
+def _missing_file(flag: str, path: str | Path) -> bool:
+    """True, once said on stderr, when the input file ``path`` of ``flag``
+    does not exist (the caller exits 2 before doing any work)."""
+    if Path(path).is_file():
+        return False
+    print(f"{flag}: no such file: {path}", file=sys.stderr)
+    return True
+
+
 def _train(args: argparse.Namespace):
     """Collect train+test sets, engine-backed (``--jobs``/``--journal-dir``)."""
     jobs = getattr(args, "jobs", 1)
@@ -130,12 +144,11 @@ def _train(args: argparse.Namespace):
         )
         kwargs: dict = {}
         if journal_dir:
-            directory = Path(journal_dir)
-            directory.mkdir(parents=True, exist_ok=True)
+            Path(journal_dir).mkdir(parents=True, exist_ok=True)
             telemetry = EngineTelemetry()
             telemetry.subscribe(stderr_progress(telemetry))
             kwargs = {
-                "journal_path": directory / f"{stream}.samples.jsonl",
+                "journal_path": _sample_journal(journal_dir, stream),
                 "resume": resume,
                 "telemetry": telemetry,
             }
@@ -146,10 +159,14 @@ def _train(args: argparse.Namespace):
 def _cmd_train(args: argparse.Namespace) -> int:
     t0 = time.time()
     if args.datasets_from:
-        directory = Path(args.datasets_from)
-        train = dataset_from_journal(directory / "train.samples.jsonl")
-        test = dataset_from_journal(directory / "test.samples.jsonl")
-        print(f"datasets rebuilt from sample journals in {directory}")
+        journals = [
+            _sample_journal(args.datasets_from, stream)
+            for stream, _, _ in _TRAINING_RUNS
+        ]
+        if any(_missing_file("--datasets-from", path) for path in journals):
+            return 2
+        train, test = (dataset_from_journal(path) for path in journals)
+        print(f"datasets rebuilt from sample journals in {args.datasets_from}")
     else:
         train, test = _train(args)
     print(f"train: {train.describe()}")
@@ -189,6 +206,8 @@ def _load_saved_records(path: str):
 def _cmd_campaign(args: argparse.Namespace) -> int:
     t0 = time.time()
     if args.records_from:
+        if _missing_file("--records-from", args.records_from):
+            return 2
         return _report_records(_load_saved_records(args.records_from))
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
@@ -218,46 +237,28 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if scenario is not None:
         config = scenario.apply(config)
         print(f"scenario: {scenario.describe()}")
-    # Supervision knobs force the engine path: the serial for-loop has no
-    # retry, watchdog or chaos machinery.
-    use_engine = (
-        args.jobs > 1 or args.journal or args.chaos
-        or args.shard_timeout is not None
+    telemetry = EngineTelemetry()
+    telemetry.subscribe(stderr_progress(telemetry))
+    engine = CampaignEngine(
+        config,
+        jobs=args.jobs,
+        n_shards=max(4, 2 * args.jobs),
+        detector=detector,
+        journal_path=args.journal,
+        telemetry=telemetry,
+        retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
+        shard_timeout=args.shard_timeout,
+        chaos=args.chaos,
     )
-    if use_engine:
-        telemetry = EngineTelemetry()
-        telemetry.subscribe(stderr_progress(telemetry))
-        engine = CampaignEngine(
-            config,
-            jobs=args.jobs,
-            n_shards=max(4, 2 * args.jobs),
-            detector=detector,
-            journal_path=args.journal,
-            telemetry=telemetry,
-            retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
-            shard_timeout=args.shard_timeout,
-            chaos=args.chaos,
-        )
-        result = engine.run(resume=args.resume)
-        counts = telemetry.counters
-        if args.journal:
-            print(f"journal at {args.journal} "
-                  f"(manifest: {args.journal}.manifest.json)")
-    else:
-        campaign = FaultInjectionCampaign(config, detector=detector)
-
-        def progress(done: int, total: int) -> None:
-            sys.stdout.write(f"\r{done}/{total} trials")
-            sys.stdout.flush()
-
-        # Detector training above also ran the simulated machine: count the
-        # campaign phase alone (--no-translate must read 0% translated).
-        before = counters.snapshot()
-        result = campaign.run(progress=progress)
-        counts = counters.since(before)
+    result = engine.run(resume=args.resume)
+    if args.journal:
+        print(f"journal at {args.journal} "
+              f"(manifest: {args.journal}.manifest.json)")
     print(f"\n{len(result)} injections, {len(result.manifested)} manifested "
           f"({time.time() - t0:.0f}s)")
-    _print_counters(counts)
+    # Per-shard ledger deltas: the campaign phase alone, detector training
+    # excluded (--no-translate must read 0% translated).
+    _print_counters(telemetry.counters)
     if args.output:
         save_records(result.records, args.output)
         print(f"records written to {args.output}")
@@ -340,8 +341,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve needs a stop condition: --max-rows or --duration",
               file=sys.stderr)
         return 2
-    if not Path(args.model).is_file():
-        print(f"--model: no such file: {args.model}", file=sys.stderr)
+    if _missing_file("--model", args.model):
         return 2
     artifact = load_model(args.model)
     accuracy = artifact.evaluation.get("accuracy")
@@ -501,11 +501,20 @@ def _chaos_spec(text: str) -> ChaosPolicy:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _journal_path(text: str) -> str:
-    """An argparse ``type=`` for a journal file whose directory exists."""
+def _output_path(text: str) -> str:
+    """An argparse ``type=`` for a file to write, whose directory exists —
+    so a typo fails before the work whose result it would hold."""
     if not Path(text).parent.is_dir():
         raise argparse.ArgumentTypeError(f"directory of {text!r} does not exist")
     return text
+
+
+def _port(text: str) -> int:
+    """An argparse ``type=`` for a TCP port (0 picks an ephemeral one)."""
+    value = _int_at_least(0)(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be at most 65535, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets-from", metavar="DIR",
                    help="skip collection; rebuild datasets from the sample "
                         "journals in DIR")
-    p.add_argument("--save-model", metavar="PATH",
+    p.add_argument("--save-model", metavar="PATH", type=_output_path,
                    help="write the random-tree model (compiled rules + "
                         "held-out evaluation) as JSON")
-    p.add_argument("--save-rules", metavar="PATH",
+    p.add_argument("--save-rules", metavar="PATH", type=_output_path,
                    help="write the deployable rule table as JSON")
     p.set_defaults(func=_cmd_train)
 
@@ -552,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--injections", type=_int_at_least(len(BENCHMARK_NAMES)),
                    default=6000)
     p.add_argument("--scale", type=_scale, default=1.0)
-    p.add_argument("--output", metavar="PATH",
+    p.add_argument("--output", metavar="PATH", type=_output_path,
                    help="write trial records as JSON lines")
     p.add_argument("--records-from", metavar="PATH",
                    help="skip execution; re-analyze saved records or a journal")
@@ -587,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for the campaign engine "
                         "(default: 1, serial; results are bit-identical)")
-    p.add_argument("--journal", metavar="PATH", type=_journal_path,
+    p.add_argument("--journal", metavar="PATH", type=_output_path,
                    help="journal finished shards to PATH (crash-safe JSONL)")
     p.add_argument("--resume", action="store_true",
                    help="resume from --journal, skipping completed shards")
@@ -637,14 +646,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a burst every N ticks (exercises backpressure)")
     p.add_argument("--burst-rows", type=_int_at_least(0), default=0,
                    help="extra rows per burst tick per host")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=_port, default=0,
                    help="scrape endpoint port (default: 0 = ephemeral)")
     p.add_argument("--no-http", action="store_true",
                    help="run without the scrape endpoint")
     p.add_argument("--hold", type=float, default=0.0, metavar="SECONDS",
                    help="keep /metrics up this long after the stream ends "
                         "so scrapers can collect final totals")
-    p.add_argument("--summary", metavar="PATH",
+    p.add_argument("--summary", metavar="PATH", type=_output_path,
                    help="write the deterministic totals as JSON (what the "
                         "bit-identical contract is diffed on)")
     p.set_defaults(func=_cmd_serve)

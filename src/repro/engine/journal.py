@@ -151,6 +151,30 @@ class TrialJournal:
         return cls(path, state, _fh=open(path, "a"))
 
     @classmethod
+    def open(
+        cls,
+        path: str | Path,
+        *,
+        digest: str,
+        n_shards: int,
+        total_trials: int,
+        resume: bool = False,
+    ) -> "TrialJournal":
+        """The engine's entry: :meth:`create` a fresh journal, or with
+        ``resume`` continue an existing one.  A fresh run refuses a journal
+        that already exists rather than silently appending to it."""
+        if cls.read(path) is None:
+            return cls.create(
+                path, digest=digest, n_shards=n_shards, total_trials=total_trials
+            )
+        if not resume:
+            raise JournalError(
+                f"{path}: journal exists; pass resume=True (--resume) to "
+                "continue it or remove the file"
+            )
+        return cls.resume(path, digest=digest)
+
+    @classmethod
     def read(cls, path: str | Path) -> JournalState | None:
         """Parse a journal of this class's format without holding it open."""
         return _read_state(path, fmt=cls.FORMAT, decode=cls._decode)

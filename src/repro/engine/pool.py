@@ -1,8 +1,9 @@
 """The campaign engine: parallel, resumable, observable, *self-resilient*.
 
 :class:`CampaignEngine` turns a :class:`CampaignConfig` into a plan of
-deterministic shards (:mod:`repro.engine.planner`), hands them to a
-:class:`~repro.engine.supervisor.ShardSupervisor` that fans them out over a
+deterministic shards (:mod:`repro.engine.planner`), hands them to the
+engine's run loop (:func:`~repro.engine.supervisor.run_shards`), whose
+:class:`~repro.engine.supervisor.ShardSupervisor` fans them out over a
 ``concurrent.futures`` process pool (or runs them inline when ``jobs=1``)
 with retry, watchdog and quarantine semantics, journals every finished shard
 durably (:mod:`repro.engine.journal`), and narrates progress through
@@ -16,27 +17,21 @@ aborting mid-run.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 
-from repro import counters
-from repro.engine.chaos import ChaosPolicy, ChaosTripwire
-from repro.engine.journal import TrialJournal, read_state
+from repro.engine.chaos import ChaosPolicy
+from repro.engine.journal import TrialJournal
 from repro.engine.planner import CampaignPlan, ShardPlan, plan_campaign
 from repro.engine.supervisor import (
     DegradedCampaignResult,
     RetryPolicy,
     ShardFailure,
-    ShardSupervisor,
     merge_records,
+    run_shards,
 )
-from repro.engine.telemetry import (
-    CampaignFinished,
-    CampaignStarted,
-    EngineTelemetry,
-    ShardFinished,
-)
-from repro.errors import EngineError, JournalError
+from repro.engine.telemetry import EngineTelemetry
+from repro.errors import EngineError
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -52,30 +47,17 @@ __all__ = ["CampaignEngine", "execute_shard"]
 def execute_shard(
     config: CampaignConfig,
     shard: ShardPlan,
-    detector: TransitionDetector | None,
-    *,
-    chaos: ChaosPolicy | None = None,
-    attempt: int = 0,
-    allow_hard: bool = True,
-) -> tuple[list[tuple[int, TrialRecord]], Counter]:
-    """Run every slice of ``shard``; return its records plus counter delta.
+    detector: TransitionDetector | None = None,
+    step: Callable[[TrialRecord], None] | None = None,
+) -> list[tuple[int, TrialRecord]]:
+    """Run every slice of ``shard``; return its ``(trial index, record)`` pairs.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config (bit-identical to the serial campaign's, which
     resets to post-boot state before each benchmark anyway) and read cached
-    goldens straight from the config's artifact store.  ``chaos`` and
-    ``attempt`` arm the deterministic chaos tripwire for this execution —
-    the tripwire only observes record counts, never the records themselves.
-    The returned trials come paired with this execution's counter-ledger
-    delta (:mod:`repro.counters`), so the run manifest covers the workers.
+    goldens straight from the config's artifact store.  ``step`` is called
+    after every record (the supervisor's chaos tripwire).
     """
-    tripwire = None
-    if chaos is not None:
-        plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
-        if not plan.quiet:
-            tripwire = ChaosTripwire(plan)
-            tripwire.step()  # faults positioned "before the first trial"
-    before = counters.snapshot()
     hv = XenHypervisor(
         n_domains=config.n_domains, seed=config.seed, translate=config.translate,
     )
@@ -83,11 +65,10 @@ def execute_shard(
     for s in shard.slices:
         records = run_benchmark_groups(
             config, s.benchmark, s.group_start, s.group_stop,
-            hv=hv, detector=detector,
-            on_record=tripwire.step if tripwire is not None else None,
+            hv=hv, detector=detector, on_record=step,
         )
         out.extend(enumerate(records, start=s.trial_start))
-    return out, counters.since(before)
+    return out
 
 
 class CampaignEngine:
@@ -168,89 +149,29 @@ class CampaignEngine:
         plan = plan_campaign(self.config, self.n_shards)
         journal: TrialJournal | None = None
         if self.journal_path is not None:
-            journal = self._open_journal(plan, resume=resume)
+            journal = TrialJournal.open(
+                self.journal_path, digest=plan.digest, n_shards=plan.n_shards,
+                total_trials=plan.total_trials, resume=resume,
+            )
             if journal.state.n_shards != plan.n_shards:
                 # The journal's shard structure wins: resuming with a
                 # different --jobs must not reshuffle shard boundaries.
                 plan = plan_campaign(self.config, journal.state.n_shards)
-
-        done: dict[int, list[tuple[int, TrialRecord]]] = (
-            dict(journal.state.completed) if journal is not None else {}
+        done, failures = run_shards(
+            self.config,
+            plan.shards,
+            execute=execute_shard,
+            telemetry=self.telemetry,
+            journal=journal,
+            jobs=self.jobs,
+            detector=self.detector,
+            retry=self.retry,
+            shard_timeout=self.shard_timeout,
+            chaos=self.chaos,
         )
-        failures: dict[int, ShardFailure] = {}
-        try:
-            pending = [s for s in plan.shards if s.index not in done]
-            self.telemetry.emit(
-                CampaignStarted(
-                    total_trials=plan.total_trials,
-                    n_shards=plan.n_shards,
-                    jobs=self.jobs,
-                    resumed_shards=len(done),
-                )
-            )
-            for index, trials in sorted(done.items()):
-                self.telemetry.record_outcomes(r for _, r in trials)
-                self.telemetry.emit(
-                    ShardFinished(
-                        shard=index, n_trials=len(trials), elapsed=0.0, resumed=True
-                    )
-                )
-            supervisor = ShardSupervisor(
-                self.config,
-                execute=execute_shard,
-                jobs=self.jobs,
-                detector=self.detector,
-                retry=self.retry,
-                shard_timeout=self.shard_timeout,
-                chaos=self.chaos,
-                telemetry=self.telemetry,
-                journal=journal,
-            )
-            failures = supervisor.run(pending, done)
-        finally:
-            # The manifest snapshot must survive any failure mode — it is
-            # written first so a failing journal close cannot cost it, and
-            # best-effort so an unwritable manifest cannot mask the real
-            # exception unwinding through here.
-            if self.journal_path is not None:
-                try:
-                    self.telemetry.write_manifest(
-                        self.journal_path.with_name(
-                            self.journal_path.name + ".manifest.json"
-                        )
-                    )
-                except OSError:
-                    pass
-            if journal is not None:
-                journal.close()
         result = self._merge(plan, done, failures)
-        snap = self.telemetry.snapshot()
-        self.telemetry.emit(
-            CampaignFinished(
-                total_trials=plan.total_trials,
-                executed_trials=self.telemetry.executed_trials,
-                elapsed=snap.elapsed,
-                trials_per_sec=snap.trials_per_sec,
-                quarantined=len(failures),
-            )
-        )
+        self.telemetry.finish(quarantined=len(failures))
         return result
-
-    def _open_journal(self, plan: CampaignPlan, *, resume: bool) -> TrialJournal:
-        existing = read_state(self.journal_path)
-        if existing is not None and not resume:
-            raise JournalError(
-                f"{self.journal_path}: journal exists; pass resume=True "
-                "(--resume) to continue it or remove the file"
-            )
-        if resume and existing is not None:
-            return TrialJournal.resume(self.journal_path, digest=plan.digest)
-        return TrialJournal.create(
-            self.journal_path,
-            digest=plan.digest,
-            n_shards=plan.n_shards,
-            total_trials=plan.total_trials,
-        )
 
     def _merge(
         self,

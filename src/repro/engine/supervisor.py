@@ -31,6 +31,15 @@ counter; a journal that stays unwritable is fatal (:class:`JournalError`) —
 durability is the journal's whole contract, so the engine dies loudly rather
 than silently losing it.
 
+:func:`run_shards` is the one run loop every sharded pass goes through —
+campaigns (:class:`~repro.engine.pool.CampaignEngine`) and training-set
+collection (:func:`~repro.xentry.training.collect_dataset`) alike: replay
+the shards a resumed journal already holds, supervise the rest, and write
+the run manifest and close the journal whatever happens.  The shard protocol
+lives on this side of the pickled call too (:func:`_run_shard`): it arms the
+chaos tripwire and takes the counter-ledger delta, so a shard executor only
+does its work and calls its ``step`` callback once per produced item.
+
 **Determinism contract.**  Supervision never alters what a shard computes:
 re-running a shard reproduces its records bit for bit, so a campaign that
 succeeds after any number of retries is bit-identical to an undisturbed run,
@@ -42,16 +51,18 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
+from repro import counters
 from repro import rng as rng_mod
-from repro.engine.chaos import ChaosPolicy, inject_journal_fault
+from repro.engine.chaos import ChaosPolicy, ChaosTripwire, inject_journal_fault
 from repro.engine.journal import TrialJournal
 from repro.engine.planner import ShardPlan
 from repro.engine.telemetry import (
+    CampaignStarted,
     EngineTelemetry,
     ShardFailed,
     ShardFinished,
@@ -71,6 +82,7 @@ __all__ = [
     "RetryPolicy",
     "ShardFailure",
     "ShardSupervisor",
+    "run_shards",
 ]
 
 
@@ -206,15 +218,43 @@ class _SupervisedState:
     failures: dict[int, ShardFailure] = field(default_factory=dict)
 
 
+def _run_shard(
+    execute: Callable,
+    config,
+    shard,
+    detector,
+    *,
+    chaos: ChaosPolicy | None,
+    attempt: int,
+    allow_hard: bool = True,
+) -> tuple[list[tuple[int, object]], Counter]:
+    """One execution of ``shard``: its ``(index, item)`` pairs plus the
+    counter-ledger delta (:mod:`repro.counters`) the execution produced.
+
+    The pickled call a pool worker runs, and the call an inline shard makes.
+    ``chaos`` and ``attempt`` arm the deterministic chaos tripwire, whose
+    ``step`` the executor calls once per produced item — the tripwire only
+    counts items, never looks at them.
+    """
+    step = None
+    if chaos is not None:
+        plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
+        if not plan.quiet:
+            step = ChaosTripwire(plan).step
+            step()  # faults positioned "before the first item"
+    before = counters.snapshot()
+    items = execute(config, shard, detector, step)
+    return items, counters.since(before)
+
+
 class ShardSupervisor:
     """Runs pending shards to completion or quarantine.
 
     Parameters mirror :class:`~repro.engine.pool.CampaignEngine`; ``execute``
-    is the module-level shard runner (pickled into pool workers), injected to
-    keep this module free of a circular import on :mod:`repro.engine.pool`.
-    It returns ``(items, delta)``: the shard's ``(index, item)`` pairs and
-    its counter-ledger delta, which only a finished shard folds into the
-    telemetry, so failed and retried attempts never count.
+    is the module-level shard executor ``(config, shard, detector, step) ->
+    [(index, item), ...]``, pickled into pool workers and wrapped by
+    :func:`_run_shard`.  Only a finished shard folds its counter-ledger delta
+    into the telemetry, so failed and retried attempts never count.
     ``shard_timeout`` is enforced by the pool-mode watchdog only: in serial
     mode the "worker" is this process, which cannot preempt itself.
     """
@@ -223,7 +263,7 @@ class ShardSupervisor:
         self,
         config: CampaignConfig,
         *,
-        execute: Callable[..., tuple[list[tuple[int, TrialRecord]], Counter]],
+        execute: Callable[..., list[tuple[int, TrialRecord]]],
         jobs: int = 1,
         detector: TransitionDetector | None = None,
         retry: RetryPolicy | None = None,
@@ -276,8 +316,8 @@ class ShardSupervisor:
             while True:
                 t0 = time.monotonic()
                 try:
-                    result = self.execute(
-                        self.config, shard, self.detector,
+                    result = _run_shard(
+                        self.execute, self.config, shard, self.detector,
                         chaos=self.chaos, attempt=attempt, allow_hard=False,
                     )
                 except Exception as exc:  # noqa: BLE001 — every worker fault funnels here
@@ -343,8 +383,8 @@ class ShardSupervisor:
             run.started = time.monotonic()
             try:
                 future = pool.submit(
-                    self.execute, self.config, run.shard, self.detector,
-                    chaos=self.chaos, attempt=run.attempt,
+                    _run_shard, self.execute, self.config, run.shard,
+                    self.detector, chaos=self.chaos, attempt=run.attempt,
                 )
             except BrokenProcessPool:
                 # The pool died between batches.  This run never started, so
@@ -578,6 +618,75 @@ class ShardSupervisor:
                 )
                 if delay > 0:
                     time.sleep(delay)
+
+
+def run_shards(
+    config,
+    shards: Sequence[ShardPlan],
+    *,
+    execute: Callable,
+    telemetry: EngineTelemetry,
+    journal: TrialJournal | None = None,
+    jobs: int = 1,
+    detector: TransitionDetector | None = None,
+    retry: RetryPolicy | None = None,
+    shard_timeout: float | None = None,
+    chaos: ChaosPolicy | None = None,
+) -> tuple[dict[int, list[tuple[int, object]]], dict[int, ShardFailure]]:
+    """The run loop of every sharded pass; returns ``(done, failures)``.
+
+    Shards ``journal`` already holds are replayed into ``telemetry`` as
+    resumed, the rest run under a :class:`ShardSupervisor`.  The journal is
+    closed — and, first, the run manifest written next to it as
+    ``<journal>.manifest.json`` — whatever happens, so observability
+    survives any failure mode.  ``done`` maps shard index to its
+    ``(index, item)`` pairs; ``failures`` holds the quarantined shards.
+    Turning them into a result, and emitting the closing
+    :class:`CampaignFinished` (:meth:`EngineTelemetry.finish`), is the
+    caller's part.
+    """
+    done = dict(journal.state.completed) if journal is not None else {}
+    try:
+        telemetry.emit(
+            CampaignStarted(
+                total_trials=sum(s.n_trials for s in shards),
+                n_shards=len(shards),
+                jobs=jobs,
+                resumed_shards=len(done),
+            )
+        )
+        for index, items in sorted(done.items()):
+            telemetry.record_outcomes(item for _, item in items)
+            telemetry.emit(
+                ShardFinished(
+                    shard=index, n_trials=len(items), elapsed=0.0, resumed=True
+                )
+            )
+        supervisor = ShardSupervisor(
+            config,
+            execute=execute,
+            jobs=jobs,
+            detector=detector,
+            retry=retry,
+            shard_timeout=shard_timeout,
+            chaos=chaos,
+            telemetry=telemetry,
+            journal=journal,
+        )
+        failures = supervisor.run([s for s in shards if s.index not in done], done)
+    finally:
+        # Manifest first, so a failing journal close cannot cost it, and
+        # best-effort, so an unwritable manifest cannot mask the exception
+        # unwinding through here.
+        if journal is not None:
+            try:
+                telemetry.write_manifest(
+                    journal.path.with_name(journal.path.name + ".manifest.json")
+                )
+            except OSError:
+                pass
+            journal.close()
+    return done, failures
 
 
 def merge_records(

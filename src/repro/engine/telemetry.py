@@ -303,6 +303,19 @@ class EngineTelemetry:
             eta_seconds=eta,
         )
 
+    def finish(self, *, quarantined: int = 0) -> None:
+        """Emit the run's closing :class:`CampaignFinished`."""
+        snap = self.snapshot()
+        self.emit(
+            CampaignFinished(
+                total_trials=self.total_trials,
+                executed_trials=self.executed_trials,
+                elapsed=snap.elapsed,
+                trials_per_sec=snap.trials_per_sec,
+                quarantined=quarantined,
+            )
+        )
+
     def manifest(self) -> dict:
         """Machine-readable run summary (the observability artifact)."""
         snap = self.snapshot()

@@ -389,7 +389,12 @@ def run_benchmark_groups(
 
 
 class FaultInjectionCampaign:
-    """Runs golden/faulty trial pairs across the benchmark suite."""
+    """Runs golden/faulty trial pairs across the benchmark suite.
+
+    The single-process reference: one hypervisor, every benchmark in order.
+    The CLI runs campaigns on :class:`~repro.engine.pool.CampaignEngine`,
+    whose records are bit-identical to this class's.
+    """
 
     def __init__(
         self,
@@ -405,25 +410,16 @@ class FaultInjectionCampaign:
             translate=config.translate,
         )
 
-    def run(self, *, progress: Callable[[int, int], None] | None = None) -> CampaignResult:
+    def run(self) -> CampaignResult:
         """Execute the campaign; deterministic in the config seed."""
         cfg = self.config
         geo = benchmark_geometry(cfg)
         records: list[TrialRecord] = []
-        total = geo.per_benchmark * len(cfg.benchmarks)
-        done = 0
-
-        def tick(_record: TrialRecord) -> None:
-            nonlocal done
-            done += 1
-            if progress is not None and done % 250 == 0:
-                progress(done, total)
-
         for benchmark in cfg.benchmarks:
             records.extend(
                 run_benchmark_groups(
                     cfg, benchmark, 0, geo.n_goldens,
-                    hv=self.hv, detector=self.detector, on_record=tick,
+                    hv=self.hv, detector=self.detector,
                 )
             )
         return CampaignResult(config=cfg, records=tuple(records))

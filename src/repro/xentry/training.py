@@ -22,26 +22,19 @@ This module reproduces that pipeline on the simulated platform:
 from __future__ import annotations
 
 import functools
-from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import counters
 from repro import rng as rng_mod
-from repro.engine.chaos import ChaosPolicy, ChaosTripwire
+from repro.engine.chaos import ChaosPolicy
 from repro.engine.journal import SampleJournal
 from repro.engine.planner import TrainingShard, payload_digest, plan_training_shards
-from repro.engine.supervisor import RetryPolicy, ShardSupervisor
-from repro.engine.telemetry import (
-    CampaignFinished,
-    CampaignStarted,
-    EngineTelemetry,
-    ShardFinished,
-)
+from repro.engine.supervisor import RetryPolicy, run_shards
+from repro.engine.telemetry import EngineTelemetry
 from repro.errors import (
     CampaignConfigError,
     EngineError,
-    JournalError,
     SimulationLimitExceeded,
 )
 from repro.faults.model import FaultModel
@@ -121,15 +114,15 @@ def _collect_free_part(
     generator: WorkloadGenerator,
     shard: TrainingShard,
     stream: str,
-    tripwire: ChaosTripwire | None,
+    step: Callable[[], None] | None,
 ) -> list[Sample]:
     """Fault-free stream: evolving state, every transition labeled CORRECT."""
     items: list[Sample] = []
     for activation in generator.activations(shard.n_runs, stream=f"{stream}.free"):
         result = hv.execute(activation)
         items.append((result.features, CORRECT))
-        if tripwire is not None:
-            tripwire.step()
+        if step is not None:
+            step()
     return items
 
 
@@ -139,7 +132,7 @@ def _collect_inj_part(
     generator: WorkloadGenerator,
     shard: TrainingShard,
     stream: str,
-    tripwire: ChaosTripwire | None,
+    step: Callable[[], None] | None,
 ) -> list[Sample]:
     """Injection stream: golden/faulty pairs, at most one sample per run."""
     fault_rng = rng_mod.stream(config.seed, stream, "faults", shard.benchmark)
@@ -177,8 +170,8 @@ def _collect_inj_part(
         # stalled) state stream.
         hv.restore(golden.checkpoint)
         hv.execute(activation)
-        if tripwire is not None:
-            tripwire.step()
+        if step is not None:
+            step()
     return items
 
 
@@ -186,15 +179,12 @@ def execute_training_shard(
     config: TrainingConfig,
     shard: TrainingShard,
     detector=None,
+    step: Callable[[], None] | None = None,
     *,
-    chaos: ChaosPolicy | None = None,
-    attempt: int = 0,
-    allow_hard: bool = True,
     stream: str = "train",
-    hypervisor: XenHypervisor | None = None,
-) -> tuple[list[tuple[int, Sample]], Counter]:
-    """Run one collection shard; return ``(global run index, sample)`` pairs
-    and the shard's counter-ledger delta (:mod:`repro.counters`).
+) -> list[tuple[int, Sample]]:
+    """Run one collection shard; return its ``(global run index, sample)``
+    pairs.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config.  Every shard starts from post-boot state
@@ -203,15 +193,10 @@ def execute_training_shard(
     still produce exactly the samples the serial collection would have
     produced at those positions.  ``detector`` is the supervisor protocol
     slot — collection deploys no detector, the argument is ignored.
+    ``step`` is called after every activation (the supervisor's chaos
+    tripwire).
     """
-    before = counters.snapshot()
-    tripwire = None
-    if chaos is not None:
-        plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
-        if not plan.quiet:
-            tripwire = ChaosTripwire(plan)
-            tripwire.step()  # faults positioned "before the first run"
-    hv = hypervisor or XenHypervisor(n_domains=config.n_domains, seed=config.seed)
+    hv = XenHypervisor(n_domains=config.n_domains, seed=config.seed)
     generator = WorkloadGenerator(
         get_profile(shard.benchmark), config.mode,
         seed=rng_mod.derive_seed(config.seed, stream, shard.benchmark),
@@ -219,17 +204,15 @@ def execute_training_shard(
     )
     hv.reset()
     if shard.part == "free":
-        items = _collect_free_part(hv, generator, shard, stream, tripwire)
+        items = _collect_free_part(hv, generator, shard, stream, step)
     else:
-        items = _collect_inj_part(hv, config, generator, shard, stream, tripwire)
-    runs = [(shard.run_start + k, sample) for k, sample in enumerate(items)]
-    return runs, counters.since(before)
+        items = _collect_inj_part(hv, config, generator, shard, stream, step)
+    return [(shard.run_start + k, sample) for k, sample in enumerate(items)]
 
 
 def collect_dataset(
     config: TrainingConfig,
     *,
-    hypervisor: XenHypervisor | None = None,
     stream: str = "train",
     jobs: int = 1,
     journal_path: str | Path | None = None,
@@ -241,18 +224,17 @@ def collect_dataset(
 ) -> Dataset:
     """Collect one labeled dataset (pass a different ``stream`` for test).
 
-    Collection runs on the campaign engine: the run is cut into one shard
-    per ``(benchmark, part)`` pair (:func:`plan_training_shards`), executed
-    by a :class:`ShardSupervisor` — inline when ``jobs=1``, over a process
-    pool otherwise — with the engine's retry/backoff, watchdog and telemetry
-    semantics.  With ``journal_path`` every finished shard is durably
-    journalled (:class:`SampleJournal`) and ``resume=True`` finishes a
-    killed collection, re-running only the missing shards.  The merged
-    dataset is bit-identical to a serial collection of the same seed,
-    whatever the job count, supervision, or resume history.
+    Collection runs on the campaign engine's run loop
+    (:func:`~repro.engine.supervisor.run_shards`): the run is cut into one
+    shard per ``(benchmark, part)`` pair (:func:`plan_training_shards`),
+    executed inline when ``jobs=1``, over a process pool otherwise — with
+    the engine's retry/backoff, watchdog and telemetry semantics.  With
+    ``journal_path`` every finished shard is durably journalled
+    (:class:`SampleJournal`) and ``resume=True`` finishes a killed
+    collection, re-running only the missing shards.  The merged dataset is
+    bit-identical to a serial collection of the same seed, whatever the job
+    count, supervision, or resume history.
 
-    ``hypervisor`` is honored on the inline path only; pool workers rebuild
-    their own (bit-identical: every shard starts from post-boot state).
     Unlike campaigns, a collection with quarantined shards raises
     :class:`EngineError` instead of returning degraded data — a silently
     truncated training set skews the class balance it exists to provide.
@@ -264,65 +246,25 @@ def collect_dataset(
     shards = plan_training_shards(
         config.benchmarks, config.fault_free_runs, config.injection_runs
     )
-    digest = training_digest(config, stream)
-    total_runs = sum(s.n_runs for s in shards)
     telemetry = telemetry or EngineTelemetry()
     journal: SampleJournal | None = None
     if journal_path is not None:
-        journal = _open_sample_journal(
-            journal_path, digest=digest, n_shards=len(shards),
-            total_runs=total_runs, resume=resume,
+        journal = SampleJournal.open(
+            journal_path, digest=training_digest(config, stream),
+            n_shards=len(shards), total_trials=sum(s.n_runs for s in shards),
+            resume=resume,
         )
-    done: dict[int, list[tuple[int, Sample]]] = (
-        dict(journal.state.completed) if journal is not None else {}
+    done, failures = run_shards(
+        config,
+        shards,
+        execute=functools.partial(execute_training_shard, stream=stream),
+        telemetry=telemetry,
+        journal=journal,
+        jobs=jobs,
+        retry=retry,
+        shard_timeout=shard_timeout,
+        chaos=chaos,
     )
-    failures = {}
-    try:
-        pending = [s for s in shards if s.index not in done]
-        telemetry.emit(
-            CampaignStarted(
-                total_trials=total_runs,
-                n_shards=len(shards),
-                jobs=jobs,
-                resumed_shards=len(done),
-            )
-        )
-        for index, items in sorted(done.items()):
-            telemetry.record_outcomes(sample for _, sample in items)
-            telemetry.emit(
-                ShardFinished(
-                    shard=index, n_trials=len(items), elapsed=0.0, resumed=True
-                )
-            )
-        execute = functools.partial(execute_training_shard, stream=stream)
-        if jobs == 1 and hypervisor is not None:
-            execute = functools.partial(execute, hypervisor=hypervisor)
-        supervisor = ShardSupervisor(
-            config,
-            execute=execute,
-            jobs=jobs,
-            detector=None,
-            retry=retry or RetryPolicy(seed=config.seed),
-            shard_timeout=shard_timeout,
-            chaos=chaos,
-            telemetry=telemetry,
-            journal=journal,
-        )
-        failures = supervisor.run(pending, done)
-    finally:
-        # Manifest first (observability must survive failures), best-effort
-        # so an unwritable manifest cannot mask the exception unwinding here.
-        if journal_path is not None:
-            try:
-                telemetry.write_manifest(
-                    Path(journal_path).with_name(
-                        Path(journal_path).name + ".manifest.json"
-                    )
-                )
-            except OSError:
-                pass
-        if journal is not None:
-            journal.close()
     if failures:
         detail = "; ".join(
             f"shard {i} ({shards[i].benchmark}/{shards[i].part}): "
@@ -340,32 +282,8 @@ def collect_dataset(
         for _, (features, label) in sorted(done[index]):
             samples.append(features)
             labels.append(label)
-    snap = telemetry.snapshot()
-    telemetry.emit(
-        CampaignFinished(
-            total_trials=total_runs,
-            executed_trials=telemetry.executed_trials,
-            elapsed=snap.elapsed,
-            trials_per_sec=snap.trials_per_sec,
-        )
-    )
+    telemetry.finish()
     return Dataset.from_samples(samples, labels)
-
-
-def _open_sample_journal(
-    path: str | Path, *, digest: str, n_shards: int, total_runs: int, resume: bool
-) -> SampleJournal:
-    existing = SampleJournal.read(path)
-    if existing is not None and not resume:
-        raise JournalError(
-            f"{path}: journal exists; pass resume=True (--resume) to "
-            "continue it or remove the file"
-        )
-    if resume and existing is not None:
-        return SampleJournal.resume(path, digest=digest)
-    return SampleJournal.create(
-        path, digest=digest, n_shards=n_shards, total_trials=total_runs
-    )
 
 
 @dataclass(frozen=True)

@@ -142,9 +142,3 @@ class TestCampaign:
         assert len(result.activated) >= len(result.manifested) - sum(
             1 for r in result.records if r.failure_class is FailureClass.BENIGN
         )
-
-    def test_progress_callback_fires(self):
-        calls = []
-        cfg = CampaignConfig(benchmarks=("mcf",), n_injections=500, seed=1)
-        FaultInjectionCampaign(cfg).run(progress=lambda d, t: calls.append((d, t)))
-        assert calls and calls[-1][0] <= calls[-1][1]

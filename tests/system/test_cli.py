@@ -6,7 +6,8 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.faults import FaultSpec
+from repro.engine import CampaignEngine
+from repro.faults import FaultInjectionCampaign, FaultSpec
 from repro.faults.outcomes import DetectionTechnique, FailureClass, TrialRecord
 from repro.persist import save_records
 
@@ -224,12 +225,26 @@ class TestExecution:
         ("serve", "--burst-rows", "-1"),
         ("serve", "--duration", "-1"),
         ("serve", "--model", "missing-model.json"),
+        ("serve", "--summary", "missing-dir/s.json"),
+        ("serve", "--port", "-1"),
+        ("serve", "--port", "70000"),
+        ("campaign", "--output", "missing-dir/x.jsonl"),
+        ("campaign", "--records-from", "missing.jsonl"),
+        ("train", "--save-model", "missing-dir/m.json"),
+        ("train", "--save-rules", "missing-dir/r.json"),
+        ("train", "--datasets-from", "missing-dir"),
         ("info", "--domains", "0"),
         ("rates", "--seconds", "0"),
     ])
     def test_bad_values_exit_2_naming_the_flag(self, capsys, tmp_path,
                                                monkeypatch, command, flag, value):
         monkeypatch.chdir(tmp_path)
+
+        def no_work(*_args):
+            raise AssertionError("work started before the bad value was rejected")
+
+        monkeypatch.setattr(cli, "_train", no_work)
+        monkeypatch.setattr(cli, "load_model", no_work)
         argv = [command]
         if command == "serve":
             # Otherwise valid: an existing model file and a stop condition.
@@ -264,6 +279,36 @@ class TestExecution:
             assert f"{machine['blocks_compiled']} blocks compiled" in out
             lines[jobs] = twins
         assert lines["1"] == lines["2"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_campaign_enters_the_engine_once(self, capsys, monkeypatch, jobs):
+        """The benchmark times FaultInjectionCampaign.run plus
+        CampaignEngine.run as a CLI campaign's campaign phase: the engine
+        runs exactly once, the serial class never, and detector training
+        (collect_dataset) enters neither."""
+        stack: list[str] = []
+        entered: list[tuple[str, tuple[str, ...]]] = []
+
+        def spy(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                entered.append((label, tuple(stack)))
+                stack.append(label)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(CampaignEngine, "run", "engine")
+        spy(FaultInjectionCampaign, "run", "serial")
+        spy(cli, "collect_dataset", "collect")
+        assert main(["campaign", "--injections", "12", "--scale", "0.02",
+                     "--seed", "1", "--jobs", jobs]) == 0
+        assert [e for e in entered if e[0] != "collect"] == [("engine", ())]
+        assert [e for e in entered if e[0] == "collect"] == [("collect", ())] * 2
 
     def test_campaign_resume_requires_journal(self, capsys):
         assert main(["campaign", "--resume"]) == 2

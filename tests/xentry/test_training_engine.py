@@ -2,9 +2,8 @@
 
 The acceptance properties of the training-collection tentpole:
 
-* ``jobs=N`` (and a caller-provided hypervisor, and an engine-supervised
-  retry history) all merge to a dataset **bit-identical** to the fixed
-  serial collection of the same seed;
+* ``jobs=N`` (and an engine-supervised retry history) merge to a dataset
+  **bit-identical** to the fixed serial collection of the same seed;
 * a collection killed mid-flight and resumed from its sample journal
   completes with the identical samples — none missing, none doubled;
 * quarantined shards abort the collection instead of silently truncating
@@ -24,7 +23,6 @@ from repro.engine import (
     ShardFinished,
 )
 from repro.errors import EngineError, JournalError
-from repro.hypervisor import XenHypervisor
 from repro.xentry import TrainingConfig, collect_dataset
 
 CONFIG = TrainingConfig(
@@ -60,13 +58,6 @@ class KillAfter:
 class TestDeterminism:
     def test_process_pool_is_bit_identical_to_serial(self, serial_dataset):
         assert_identical(collect_dataset(CONFIG, jobs=2), serial_dataset)
-
-    def test_caller_hypervisor_is_bit_identical(self, serial_dataset):
-        # Shards reset to post-boot state, so a shared, already-used
-        # hypervisor changes nothing.
-        hv = XenHypervisor(n_domains=CONFIG.n_domains, seed=CONFIG.seed)
-        collect_dataset(CONFIG, hypervisor=hv)  # dirty the instance
-        assert_identical(collect_dataset(CONFIG, hypervisor=hv), serial_dataset)
 
     def test_supervised_retries_are_bit_identical(self, serial_dataset):
         # Transient chaos: every shard's first attempt crashes, the retry

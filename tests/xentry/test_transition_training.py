@@ -56,9 +56,8 @@ class TestTrainingPipeline:
             benchmarks=("postmark", "mcf"), fault_free_runs=120,
             injection_runs=240, seed=13,
         )
-        hv = XenHypervisor(seed=13)
-        train = collect_dataset(cfg, hypervisor=hv, stream="train")
-        test = collect_dataset(cfg, hypervisor=hv, stream="test")
+        train = collect_dataset(cfg, stream="train")
+        test = collect_dataset(cfg, stream="test")
         return train, test
 
     def test_collects_both_classes(self, datasets):
