@@ -19,7 +19,7 @@ from repro.errors import SimulationLimitExceeded
 def run_faulty(hv, activation, golden, fault):
     """Replay the activation with the fault; return (result-or-exc, divergence)."""
     hv.restore(golden.checkpoint)
-    hv.cpu.schedule_register_flip(fault.dynamic_index, fault.register, fault.bit)
+    hv.cpu.schedule_flip(fault.dynamic_index, *fault.flips)
     try:
         result = hv.execute(activation)
     except (HardwareException, AssertionViolation, SimulationLimitExceeded) as exc:

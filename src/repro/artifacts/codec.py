@@ -3,7 +3,8 @@
 One artifact holds everything a worker needs to run a golden group's trials
 without executing the fault-free twin: the :class:`GoldenRun` (result,
 outputs, heap image, pre-run checkpoint, follow-up results, checkpoint
-ladder) and the lock-step :class:`TwinPlan` state.  The layout::
+ladder) and the lock-step :class:`TwinPlan` (or ``None`` where the trace
+replay refused to line up).  The layout::
 
     MAGIC (8 bytes, includes the format version byte)
     u64   header length
@@ -53,9 +54,6 @@ __all__ = [
     "ArtifactPayload",
     "CODEC_FORMAT",
     "MAGIC",
-    "PLAN_ABSENT",
-    "PLAN_NONE",
-    "PLAN_PRESENT",
     "decode_group",
     "encode_group",
 ]
@@ -66,13 +64,11 @@ MAGIC = b"XENTART\x01"
 CODEC_FORMAT = "xentry-artifact-v1"
 _CHECKSUM_BYTES = 16
 
-#: TwinPlan captured and usable.
-PLAN_PRESENT = "plan"
-#: TwinPlan capture was attempted and refused (trace mismatch): the cached
-#: group must peel every twin, exactly like the live path would.
-PLAN_NONE = "none"
-#: No TwinPlan in the artifact (captured with twin batching off).
-PLAN_ABSENT = "absent"
+#: The header's plan states: a usable TwinPlan, or a refused one (trace
+#: mismatch) — the cached group must then peel every twin, exactly like the
+#: live path would.
+_PLAN_PRESENT = "plan"
+_PLAN_NONE = "none"
 
 _COLUMN_DTYPE = np.dtype("<i8")
 
@@ -83,12 +79,12 @@ class ArtifactCorrupt(Exception):
 
 @dataclass(frozen=True)
 class ArtifactPayload:
-    """A decoded artifact: the golden products plus the plan state."""
+    """A decoded artifact: the golden products plus the twin plan."""
 
     digest: str
     golden: GoldenRun
-    #: ``(PLAN_PRESENT, TwinPlan) | (PLAN_NONE, None) | (PLAN_ABSENT, None)``.
-    plan_state: tuple[str, TwinPlan | None]
+    #: ``None`` when the capture's trace replay refused to line up.
+    plan: TwinPlan | None
     #: Encoded size (telemetry: bytes served from cache instead of re-run).
     nbytes: int
 
@@ -128,9 +124,7 @@ def _pages_ref(pages: dict[int, bytes], writer: _BlobWriter) -> list[list[int]]:
     return [[base, writer.add(bytes(pages[base]))] for base in sorted(pages)]
 
 
-def encode_group(
-    digest: str, golden: GoldenRun, plan_state: tuple[str, TwinPlan | None]
-) -> bytes:
+def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes:
     """Encode one golden group's products into artifact bytes."""
     writer = _BlobWriter()
     header: dict = {
@@ -151,21 +145,16 @@ def encode_group(
             ],
         },
     }
-    state, plan = plan_state
-    if state == PLAN_PRESENT:
-        if plan is None:
-            raise ValueError("plan_state says present but no plan given")
+    if plan is None:
+        header["plan"] = {"state": _PLAN_NONE}
+    else:
         header["plan"] = {
-            "state": state,
+            "state": _PLAN_PRESENT,
             "instructions": plan.instructions,
             "tops": _column_ref(plan.tops, writer),
             "reads_pos": [_column_ref(c, writer) for c in plan.reads_pos],
             "writes_pos": [_column_ref(c, writer) for c in plan.writes_pos],
         }
-    elif state in (PLAN_NONE, PLAN_ABSENT):
-        header["plan"] = {"state": state}
-    else:
-        raise ValueError(f"unknown plan state {state!r}")
     header["blobs"] = [[off, length] for off, length in writer.index]
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -264,24 +253,21 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
 
         p = header["plan"]
         state = p["state"]
-        if state == PLAN_PRESENT:
-            plan_state = (
-                PLAN_PRESENT,
-                TwinPlan(
-                    tops=column(p["tops"]),
-                    reads_pos=tuple(column(c) for c in p["reads_pos"]),
-                    writes_pos=tuple(column(c) for c in p["writes_pos"]),
-                    instructions=p["instructions"],
-                ),
+        if state == _PLAN_PRESENT:
+            plan = TwinPlan(
+                tops=column(p["tops"]),
+                reads_pos=tuple(column(c) for c in p["reads_pos"]),
+                writes_pos=tuple(column(c) for c in p["writes_pos"]),
+                instructions=p["instructions"],
             )
-        elif state in (PLAN_NONE, PLAN_ABSENT):
-            plan_state = (state, None)
+        elif state == _PLAN_NONE:
+            plan = None
         else:
             raise ArtifactCorrupt(f"unknown plan state {state!r}")
         return ArtifactPayload(
             digest=header["digest"],
             golden=golden,
-            plan_state=plan_state,
+            plan=plan,
             nbytes=len(view),
         )
     except ArtifactCorrupt:

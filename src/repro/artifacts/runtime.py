@@ -57,10 +57,10 @@ class GoldenSource:
         LEDGER["artifact_bytes_loaded"] += payload.nbytes
         return payload
 
-    def offer(self, benchmark: str, group: int, golden, plan_state) -> None:
+    def offer(self, benchmark: str, group: int, golden, plan) -> None:
         """Publish a live-captured group to the disk store (best effort)."""
         digest = golden_digest(self.config, benchmark, group)
-        blob = encode_group(digest, golden, plan_state)
+        blob = encode_group(digest, golden, plan)
         if self.store.save(digest, blob):
             LEDGER["artifact_bytes_written"] += len(blob)
         else:

@@ -25,6 +25,7 @@ import os
 from pathlib import Path
 
 from repro.artifacts.codec import ArtifactCorrupt, decode_group
+from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import CampaignConfig, benchmark_geometry
 
 __all__ = ["GoldenStore", "golden_digest"]
@@ -48,8 +49,8 @@ def golden_digest(config: CampaignConfig, benchmark: str, group: int) -> str:
       array up front, so activation ``i`` depends on the total stream
       length, not just its prefix;
     * the group coordinate within that stream;
-    * ``ladder_interval`` (rung placement is part of the artifact) and
-      ``twin_batch`` (whether a :class:`TwinPlan` is captured);
+    * the campaign's ``LADDER_INTERVAL`` (rung placement is part of the
+      artifact);
     * the scenario payload when one is armed (workload overrides reshape
       the activation mix; the whole payload keys conservatively).
 
@@ -72,8 +73,7 @@ def golden_digest(config: CampaignConfig, benchmark: str, group: int) -> str:
         "warmup_activations": config.warmup_activations,
         "stride": geo.stride,
         "stream_length": geo.n_goldens * geo.stride,
-        "ladder_interval": config.ladder_interval,
-        "twin_batch": config.twin_batch,
+        "ladder_interval": campaign_mod.LADDER_INTERVAL,
     }
     if config.scenario is not None:
         payload["scenario"] = config.scenario.digest_payload()

@@ -51,11 +51,12 @@ from repro.engine import (
     ChaosPolicy,
     EngineTelemetry,
     RetryPolicy,
+    config_digest,
     parse_chaos_spec,
     stderr_progress,
 )
-from repro.engine.journal import JOURNAL_FORMAT
-from repro.errors import CampaignConfigError
+from repro.engine.journal import JOURNAL_FORMAT, SampleJournal, TrialJournal
+from repro.errors import CampaignConfigError, DatasetError
 from repro.faults import CampaignConfig
 from repro.hypervisor import ExitCategory, REGISTRY, XenHypervisor
 from repro.ml import compile_tree
@@ -130,6 +131,17 @@ def _missing_file(flag: str, path: str | Path) -> bool:
     return True
 
 
+def _load_input(flag: str, load, path: str | Path):
+    """``load(path)``, or ``None`` once said on stderr that the input file
+    of ``flag`` is malformed (every loader raises :class:`DatasetError`;
+    the caller exits 2 before doing any work)."""
+    try:
+        return load(path)
+    except DatasetError as exc:
+        print(f"{flag}: {exc}", file=sys.stderr)
+        return None
+
+
 def _train(args: argparse.Namespace):
     """Collect train+test sets, engine-backed (``--jobs``/``--journal-dir``)."""
     jobs = getattr(args, "jobs", 1)
@@ -165,9 +177,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
         ]
         if any(_missing_file("--datasets-from", path) for path in journals):
             return 2
-        train, test = (dataset_from_journal(path) for path in journals)
+        datasets = [
+            _load_input("--datasets-from", dataset_from_journal, path)
+            for path in journals
+        ]
+        if any(dataset is None for dataset in datasets):
+            return 2
+        train, test = datasets
         print(f"datasets rebuilt from sample journals in {args.datasets_from}")
     else:
+        if args.journal_dir and any(
+            _journal_clash("--journal-dir", SampleJournal,
+                           _sample_journal(args.journal_dir, stream),
+                           resume=args.resume)
+            for stream, _, _ in _TRAINING_RUNS
+        ):
+            return 2
         train, test = _train(args)
     print(f"train: {train.describe()}")
     print(f"test:  {test.describe()}")
@@ -190,11 +215,34 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _journal_clash(flag: str, journal_cls, path, *, resume: bool,
+                   digest: str | None = None) -> bool:
+    """True, once said on stderr, when the journal at ``path`` would stop
+    the run after its slow phases: it exists and ``--resume`` was not
+    given, it belongs to another campaign (``digest``), or it is malformed."""
+    try:
+        state = journal_cls.read(path)
+    except DatasetError as exc:
+        print(f"{flag}: {exc}", file=sys.stderr)
+        return True
+    if state is None:
+        return False
+    if not resume:
+        print(f"{flag}: {path} already exists; pass --resume to continue it "
+              "or remove the file", file=sys.stderr)
+        return True
+    if digest is not None and state.digest != digest:
+        print(f"--resume: {path} belongs to a different campaign "
+              f"(digest {state.digest}, expected {digest})", file=sys.stderr)
+        return True
+    return False
+
+
 def _load_saved_records(path: str):
     """Load records from either a ``save_records`` file or an engine journal."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-    if f'"{JOURNAL_FORMAT}"' in header:
+    if f'"{JOURNAL_FORMAT}"'.encode() in header:
         progress = journal_progress(path)
         print(f"journal: {progress['done_trials']}/{progress['total_trials']} "
               f"trials durable ({progress['fraction_done']:.0%}), "
@@ -208,34 +256,39 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.records_from:
         if _missing_file("--records-from", args.records_from):
             return 2
-        return _report_records(_load_saved_records(args.records_from))
+        records = _load_input("--records-from", _load_saved_records, args.records_from)
+        if records is None:
+            return 2
+        return _report_records(records)
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return 2
-    # Validate the scenario before the (comparatively slow) detector
-    # training phase, so a typo in the file fails in milliseconds.
-    scenario = None
+    # Validate the scenario and the journal before the (comparatively slow)
+    # detector training phase, so a typo or a journal clash fails in
+    # milliseconds.
+    config = CampaignConfig(
+        n_injections=args.injections, seed=args.seed,
+        recover=args.recover,
+        recovery_hazard=args.recovery_hazard,
+        artifacts=args.artifacts,
+    )
     if args.scenario:
         try:
             scenario = load_scenario(args.scenario)
         except CampaignConfigError as exc:
             print(f"bad scenario: {exc}", file=sys.stderr)
             return 2
+        config = scenario.apply(config)
+    if args.journal and _journal_clash("--journal", TrialJournal, args.journal,
+                                       resume=args.resume,
+                                       digest=config_digest(config)):
+        return 2
     train, test = _train(args)
     model = train_and_evaluate(train, test, algorithm="random_tree", seed=3)
     print(f"detector: accuracy {model.accuracy:.1%}, "
           f"FP {model.false_positive_rate:.2%}")
     detector = VMTransitionDetector.from_classifier(model.classifier)
-    config = CampaignConfig(
-        n_injections=args.injections, seed=args.seed,
-        translate=not args.no_translate,
-        twin_batch=not args.no_twin_batch,
-        recover=args.recover,
-        recovery_hazard=args.recovery_hazard,
-        artifacts=args.artifacts,
-    )
-    if scenario is not None:
-        config = scenario.apply(config)
+    if args.scenario:
         print(f"scenario: {scenario.describe()}")
     telemetry = EngineTelemetry()
     telemetry.subscribe(stderr_progress(telemetry))
@@ -257,7 +310,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"\n{len(result)} injections, {len(result.manifested)} manifested "
           f"({time.time() - t0:.0f}s)")
     # Per-shard ledger deltas: the campaign phase alone, detector training
-    # excluded (--no-translate must read 0% translated).
+    # excluded.
     _print_counters(telemetry.counters)
     if args.output:
         save_records(result.records, args.output)
@@ -343,7 +396,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if _missing_file("--model", args.model):
         return 2
-    artifact = load_model(args.model)
+    artifact = _load_input("--model", load_model, args.model)
+    if artifact is None:
+        return 2
     accuracy = artifact.evaluation.get("accuracy")
     print(f"model: {artifact.name}"
           + (f" (held-out accuracy {accuracy:.1%})" if accuracy else ""))
@@ -570,14 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "mixture, memory-subsystem targeting, workload "
                         "overrides; its campaign: section overrides CLI "
                         "flags (see examples/)")
-    p.add_argument("--no-translate", action="store_true",
-                   help="disable the basic-block translation cache and run "
-                        "every instruction through the interpreter "
-                        "(slower; records are bit-identical either way)")
-    p.add_argument("--no-twin-batch", action="store_true",
-                   help="disable lock-step twin batching and execute every "
-                        "injection per-trial (slower; records are "
-                        "bit-identical either way)")
     p.add_argument("--artifacts", metavar="DIR",
                    help="content-addressed golden artifact cache: load cached "
                         "golden runs from DIR instead of re-executing them, "

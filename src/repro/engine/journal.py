@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.errors import JournalError
 from repro.faults.outcomes import TrialRecord
-from repro.persist import _record_from_dict, _record_to_dict
+from repro.persist import _record_from_dict, _record_to_dict, malformed_as
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -298,7 +298,7 @@ def _read_state(path: str | Path, *, fmt: str, decode) -> JournalState | None:
     path = Path(path)
     if not path.exists() or path.stat().st_size == 0:
         return None
-    with open(path) as fh:
+    with malformed_as(JournalError, path), open(path) as fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:

@@ -65,23 +65,18 @@ def config_digest(config: CampaignConfig) -> str:
         "followup_activations": config.followup_activations,
         "fault_registers": list(config.fault_model.registers),
         "fault_bits": list(config.fault_model.bits),
-        # config.ladder_interval, config.translate and config.twin_batch
-        # are deliberately absent: they change execution strategy
-        # (checkpoint ladders, translated-block dispatch, lock-step twin
-        # batching), never the trial records, so resuming a journal across
-        # them is safe.
         # The engine's supervision knobs (RetryPolicy, shard_timeout,
-        # ChaosPolicy) live on CampaignEngine rather than the config for the
-        # same reason, and must stay out of this payload: records are
-        # invariant under retries and injected engine faults, so a journal
-        # from a chaos run resumes interchangeably with a clean one.
+        # ChaosPolicy) live on CampaignEngine rather than the config and
+        # must stay out of this payload: records are invariant under
+        # retries and injected engine faults, so a journal from a chaos run
+        # resumes interchangeably with a clean one.
         # config.artifacts is likewise absent: the golden artifact cache
         # trades capture for load under a bit-identity contract (cold, warm
         # or absent, the records match), so journals interoperate across
         # cache settings.  The cache has its own identity —
-        # repro.artifacts.store.golden_digest — which DOES include strategy
-        # knobs like ladder_interval and twin_batch, because they shape the
-        # cached artifact even though they never shape records.
+        # repro.artifacts.store.golden_digest — which DOES include the
+        # campaign's LADDER_INTERVAL, because rung placement shapes the
+        # cached artifact even though it never shapes records.
     }
     # Recovery DOES change the records (detected trials grow a
     # RecoveryRecord), so it must enter the digest — but only when armed,

@@ -58,9 +58,7 @@ def execute_shard(
     goldens straight from the config's artifact store.  ``step`` is called
     after every record (the supervisor's chaos tripwire).
     """
-    hv = XenHypervisor(
-        n_domains=config.n_domains, seed=config.seed, translate=config.translate,
-    )
+    hv = XenHypervisor(n_domains=config.n_domains, seed=config.seed)
     out: list[tuple[int, TrialRecord]] = []
     for s in shard.slices:
         records = run_benchmark_groups(

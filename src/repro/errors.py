@@ -53,7 +53,13 @@ class ScenarioError(CampaignConfigError):
 
 
 class DatasetError(ReproError):
-    """Malformed machine-learning dataset (shape/label mismatches)."""
+    """Malformed machine-learning dataset (shape/label mismatches), or a
+    saved file — records, model, rules, journal — that cannot be read back.
+
+    Every loader of a saved file raises this type (journals through the
+    :class:`JournalError` subclass), so a caller handling bad input catches
+    one exception.
+    """
 
 
 class NotFittedError(ReproError):
@@ -64,7 +70,7 @@ class EngineError(ReproError):
     """Invalid campaign-engine state (shard mismatch, incomplete merge)."""
 
 
-class JournalError(EngineError):
+class JournalError(EngineError, DatasetError):
     """Malformed or mismatched trial journal (wrong campaign, bad format)."""
 
 

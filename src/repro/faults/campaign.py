@@ -19,13 +19,7 @@ from typing import TYPE_CHECKING
 from repro import rng as rng_mod
 from repro.counters import LEDGER
 from repro.errors import CampaignConfigError
-from repro.faults.injector import (
-    PLAN_UNSET,
-    TransitionDetector,
-    run_spec_trial,
-    run_twin_batch,
-    trace_plan,
-)
+from repro.faults.injector import TransitionDetector, run_twin_batch, trace_plan
 from repro.faults.model import FaultModel
 from repro.faults.outcomes import TrialRecord
 from repro.faults.propagation import capture_golden
@@ -42,9 +36,17 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "FaultInjectionCampaign",
+    "LADDER_INTERVAL",
     "benchmark_geometry",
     "run_benchmark_groups",
 ]
+
+#: Dynamic-instruction spacing of each golden run's mid-run checkpoint
+#: ladder: faulty runs fast-forward to the rung at-or-before their injection
+#: index, and microreboot recovery rolls back to one.  Records are invariant
+#: under it (0 would disable the ladder); the artifact digest keys on it,
+#: because rung placement is part of a cached golden.
+LADDER_INTERVAL = 32
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,6 @@ class CampaignConfig:
     #: continue to observe if it can be detected").
     followup_activations: int = 8
     fault_model: FaultModel = field(default_factory=FaultModel)
-    #: Dynamic-instruction spacing of the golden run's mid-run checkpoint
-    #: ladder; faulty runs fast-forward to the rung at-or-before their
-    #: injection index.  0 disables the ladder (every trial replays the whole
-    #: activation).  Excluded from the config digest: records are invariant.
-    ladder_interval: int = 32
-    #: Execute through the basic-block translation cache (the interpreter
-    #: remains the differential oracle; ``--no-translate`` forces it).
-    #: Excluded from the config digest: records are invariant under it.
-    translate: bool = True
-    #: Settle each golden group's faulty twins as a lock-step batch (dead
-    #: twins synthesized, diverging twins peeled at their read point; see
-    #: repro.machine.lockstep).  ``--no-twin-batch`` forces the per-trial
-    #: path.  Excluded from the config digest: records are invariant.
-    twin_batch: bool = True
     #: Recovery policy name (``repro.xentry.recovery_policy.POLICIES``):
     #: every *detected* trial runs the policy's escalation ladder and its
     #: record carries a :class:`~repro.faults.outcomes.RecoveryRecord`.
@@ -116,8 +104,6 @@ class CampaignConfig:
             raise CampaignConfigError("injections_per_golden must be positive")
         if self.followup_activations < 0:
             raise CampaignConfigError("followup_activations must be non-negative")
-        if self.ladder_interval < 0:
-            raise CampaignConfigError("ladder_interval must be non-negative")
         if not 0.0 <= self.recovery_hazard < 1.0:
             raise CampaignConfigError("recovery_hazard must be in [0, 1)")
         if self.recover is not None:
@@ -220,11 +206,12 @@ def run_benchmark_groups(
     exactly the trials the serial run would produce for those groups —
     merged shards are bit-identical to a serial run of the same root seed.
 
-    With ``config.artifacts`` set, each group goes through the artifact
-    cache's capture-or-load policy
+    Each group captures its golden run and lowers it to a
+    :class:`~repro.machine.lockstep.TwinPlan` in one step — or, with
+    ``config.artifacts`` set, loads both from the artifact store
     (:class:`repro.artifacts.runtime.GoldenSource`), in the serial campaign
-    and in every pool worker alike.  A cached group skips golden capture —
-    and the full-trace TwinPlan replay — entirely; the warmup burst always
+    and in every pool worker alike — then settles its trials as one
+    :func:`~repro.faults.injector.run_twin_batch`.  The warmup burst always
     runs live because it ages the machine the *trials* then perturb.
     Records are byte-identical either way: golden products are a pure
     function of the digest the store keys them by, and every trial restores
@@ -232,7 +219,6 @@ def run_benchmark_groups(
     """
     # Lazy import: repro.artifacts.store imports this module for the config
     # and geometry types.
-    from repro.artifacts.codec import PLAN_ABSENT, PLAN_NONE, PLAN_PRESENT
     from repro.artifacts.runtime import golden_source_for
 
     geo = benchmark_geometry(config)
@@ -243,10 +229,7 @@ def run_benchmark_groups(
         )
     golden_source = golden_source_for(config)
     if hv is None:
-        hv = XenHypervisor(
-            n_domains=config.n_domains, seed=config.seed,
-            translate=config.translate,
-        )
+        hv = XenHypervisor(n_domains=config.n_domains, seed=config.seed)
     profile = get_profile(benchmark)
     if config.scenario is not None:
         profile = config.scenario.profile_for(profile)
@@ -297,7 +280,6 @@ def run_benchmark_groups(
             break
         activation = stream[g * geo.stride]
         followups = tuple(stream[g * geo.stride + 1 : (g + 1) * geo.stride])
-        plan = PLAN_UNSET
         payload = (
             golden_source.acquire(benchmark, g, registry=hv.registry)
             if golden_source is not None
@@ -308,37 +290,24 @@ def run_benchmark_groups(
             # replay.  ``plan`` may legitimately be None (the live capture's
             # replay refused to line up) — the twins then peel, exactly as
             # they would have live.
-            golden = payload.golden
-            if config.twin_batch:
-                plan = payload.plan_state[1]
+            golden, plan = payload.golden, payload.plan
         else:
             hv.restore(aged_state)
             started = time.perf_counter()
             golden = capture_golden(
-                hv, activation, followups, ladder_interval=config.ladder_interval
+                hv, activation, followups, ladder_interval=LADDER_INTERVAL
             )
-            if golden_source is not None and config.twin_batch:
-                # Pull the TwinPlan lowering forward (run_twin_batch would
-                # compute the identical plan from the identical state) so it
-                # can be published alongside the golden products.
-                plan = trace_plan(hv, activation, golden)
+            plan = trace_plan(hv, activation, golden)
             LEDGER["golden_capture_seconds"] += time.perf_counter() - started
             if golden_source is not None:
-                if not config.twin_batch:
-                    plan_state = (PLAN_ABSENT, None)
-                elif plan is not None:
-                    plan_state = (PLAN_PRESENT, plan)
-                else:
-                    plan_state = (PLAN_NONE, None)
-                golden_source.offer(benchmark, g, golden, plan_state)
+                golden_source.offer(benchmark, g, golden, plan)
         if executor is not None:
             executor.begin_group(g, activation, golden)
         if config.scenario is None:
             fault_rng = rng_mod.stream(
                 config.seed, "faults", benchmark, config.mode.value, g
             )
-            # The whole group's faults are drawn up front either way, so the
-            # RNG stream (3 draws per fault) is identical in both paths.
+            # The whole group's faults are drawn up front (3 draws each).
             faults = [
                 config.fault_model.sample(fault_rng, golden.result.instructions)
                 for _ in range(batch)
@@ -355,8 +324,8 @@ def run_benchmark_groups(
                 )
                 for t in range(batch)
             ]
-        if config.twin_batch:
-            group_records = run_twin_batch(
+        records.extend(
+            run_twin_batch(
                 hv,
                 activation,
                 faults,
@@ -368,23 +337,7 @@ def run_benchmark_groups(
                 recover=recover_hook,
                 plan=plan,
             )
-            records.extend(group_records)
-        else:
-            for index, fault in enumerate(faults):
-                record = run_spec_trial(
-                    hv,
-                    activation,
-                    fault,
-                    detector=detector,
-                    golden=golden,
-                    benchmark=benchmark,
-                    followups=followups,
-                )
-                if recover_hook is not None:
-                    record = recover_hook(record, index)
-                records.append(record)
-                if on_record is not None:
-                    on_record(record)
+        )
     return records
 
 
@@ -406,8 +359,7 @@ class FaultInjectionCampaign:
         self.config = config
         self.detector = detector
         self.hv = hypervisor or XenHypervisor(
-            n_domains=config.n_domains, seed=config.seed,
-            translate=config.translate,
+            n_domains=config.n_domains, seed=config.seed
         )
 
     def run(self) -> CampaignResult:

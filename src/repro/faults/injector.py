@@ -103,38 +103,21 @@ def run_trial(
     rung = _resume(
         hv, golden, fault.dynamic_index if read_point is None else read_point
     )
-    multibit = isinstance(fault, MultiBitFaultSpec)
     if rung is not None and rung.index > fault.dynamic_index:
         # Past the injection index: the register still holds its golden
         # value here (the scan proved no access), so flip it now.
         LEDGER["read_ff_instructions"] += rung.index - fault.dynamic_index
-        if multibit:
-            hv.cpu.arm_applied_flip_set(
-                fault.dynamic_index,
-                tuple((fault.register, b) for b in fault.bits),
-                known_activation=read_point,
-            )
-        else:
-            hv.cpu.arm_applied_flip(
-                fault.dynamic_index, fault.register, fault.bit,
-                known_activation=read_point,
-            )
+        hv.cpu.arm_applied_flip(
+            fault.dynamic_index, *fault.flips, known_activation=read_point
+        )
     else:
         # ``read_point`` doubles as the analytically proven activation
         # index (the golden trace's first post-flip access is a read
         # there), letting the core skip the activation watch and keep the
         # whole window on the translated path.
-        if multibit:
-            hv.cpu.schedule_flip_set(
-                fault.dynamic_index,
-                tuple((fault.register, b) for b in fault.bits),
-                known_activation=read_point,
-            )
-        else:
-            hv.cpu.schedule_register_flip(
-                fault.dynamic_index, fault.register, fault.bit,
-                known_activation=read_point,
-            )
+        hv.cpu.schedule_flip(
+            fault.dynamic_index, *fault.flips, known_activation=read_point
+        )
 
     def _activation_index() -> int:
         report = hv.cpu.injection_report
@@ -187,10 +170,10 @@ def trace_plan(hv: XenHypervisor, activation: Activation, golden: GoldenRun):
     golden run (the scan refuses to classify against a mismatched trace;
     every twin then peels into the per-trial oracle path).
 
-    Public because the campaign pulls this lowering forward when an artifact
-    cache is armed: the plan (or the ``None`` refusal — equally cacheable)
-    is published with the golden products, and a warm run hands it straight
-    to :func:`run_twin_batch` instead of replaying.
+    Public because the campaign runs it in the same step as golden capture:
+    the plan (or the ``None`` refusal — equally cacheable) is published
+    with the golden products, and a warm run hands it straight to
+    :func:`run_twin_batch` instead of replaying.
     """
     core = hv.cpu
     tracer = core.tracer
@@ -269,9 +252,9 @@ def run_twin_batch(
     unperturbed either way.
 
     ``plan`` short-circuits the full-trace lowering: a caller holding the
-    group's :class:`~repro.machine.lockstep.TwinPlan` (from the artifact
-    cache, or pre-computed for publication) passes it here — including an
-    explicit ``None`` for a cached trace-mismatch refusal.  Left at
+    group's :class:`~repro.machine.lockstep.TwinPlan` (the campaign, from
+    its capture step or the artifact cache) passes it here — including an
+    explicit ``None`` for a trace-mismatch refusal.  Left at
     :data:`PLAN_UNSET`, the batch replays and lowers the trace itself.
     """
     if golden is None:
@@ -381,7 +364,7 @@ def run_burst_trial(
     if golden is None:
         golden = capture_golden(hv, activation, followups)
     rung = _resume(hv, golden, fault.dynamic_index)
-    hv.cpu.schedule_flip_set(fault.dynamic_index, fault.flips)
+    hv.cpu.schedule_flip(fault.dynamic_index, *fault.flips)
 
     return _execute_and_classify(
         hv, activation, fault, golden,

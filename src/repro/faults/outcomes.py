@@ -113,6 +113,11 @@ class FaultSpec:
     dynamic_index: int
 
     @property
+    def flips(self) -> tuple[tuple[str, int], ...]:
+        """The ``(register, bit)`` pairs this fault flips."""
+        return ((self.register, self.bit),)
+
+    @property
     def fault_class(self) -> str:
         return "register"
 
@@ -134,6 +139,10 @@ class MultiBitFaultSpec:
     @property
     def bit(self) -> int:
         return self.bits[0]
+
+    @property
+    def flips(self) -> tuple[tuple[str, int], ...]:
+        return tuple((self.register, bit) for bit in self.bits)
 
     @property
     def fault_class(self) -> str:

@@ -4,10 +4,10 @@ One :class:`CPUCore` models a logical core executing host-mode (hypervisor)
 code.  The core owns the architectural register file, a performance-counter
 bank, a tracer, and a time-stamp counter; memory is shared machine state.
 
-Fault injection is a first-class citizen: :meth:`CPUCore.schedule_register_flip`
-arms a single-bit flip to be applied immediately before a chosen *dynamic*
-instruction, after which the core tracks whether the flipped register is read
-before it is overwritten — the paper's activated/non-activated distinction
+Fault injection is a first-class citizen: :meth:`CPUCore.schedule_flip` arms
+bit flips to be applied immediately before a chosen *dynamic* instruction,
+after which the core tracks whether the flipped register is read before it
+is overwritten — the paper's activated/non-activated distinction
 (Section V.B: "Only soft errors occurring before reading registers can be
 activated").
 """
@@ -262,11 +262,8 @@ class CPUCore:
         self.translate = translate
         # Injection state
         self._inj_index: int | None = None
-        self._inj_reg: str | None = None
-        self._inj_bit = 0
-        #: Multi-flip set: ``None`` for the classic single-bit path,
-        #: otherwise every (register, bit) pair applied at the injection
-        #: index (multi-bit upsets and time-correlated bursts).
+        #: Every (register, bit) pair applied at the injection index; one
+        #: pair for the paper's single-bit model.
         self._inj_flips: tuple[tuple[str, int], ...] | None = None
         self._inj_applied = False
         self._inj_known: int | None = None
@@ -314,56 +311,27 @@ class CPUCore:
 
     # -- fault injection ------------------------------------------------------
 
-    def schedule_register_flip(
+    def schedule_flip(
         self,
         dynamic_index: int,
-        register: str,
-        bit: int,
-        *,
+        *flips: tuple[str, int],
         known_activation: int | None = None,
     ) -> None:
-        """Arm a single-bit flip in ``register`` before dynamic instruction
-        ``dynamic_index`` (0-based) of the next :meth:`run`.
+        """Arm ``(register, bit)`` flips striking atomically before dynamic
+        instruction ``dynamic_index`` (0-based) of the next :meth:`run`.
+
+        One register (a single-bit or multi-bit upset) gets the activation
+        watch; flips spanning registers (a burst) have no single register
+        to watch, so the report's ``activated`` stays ``None`` and callers
+        infer activation from divergence (exactly like memory faults).
 
         ``known_activation`` is the lock-step scan's analytic activation
-        index: the golden trace proved the register's first access after
-        the flip is a *read* at that dynamic index, so the activation
-        watch (which forces per-instruction visibility on blocks touching
-        the register) is skipped entirely and the report is settled the
-        moment the flip applies.
+        index, honored for one-register sets: the golden trace proved the
+        register's first access after the flip is a *read* at that dynamic
+        index, so the activation watch (which forces per-instruction
+        visibility on blocks touching the register) is skipped entirely and
+        the report is settled the moment the flip applies.
         """
-        RegisterFile.index_of(register)  # validate eagerly
-        if not 0 <= bit < 64:
-            raise MachineConfigError(f"bit index {bit} outside [0, 64)")
-        if dynamic_index < 0:
-            raise MachineConfigError("dynamic_index must be non-negative")
-        self._inj_index = dynamic_index
-        self._inj_reg = register
-        self._inj_bit = bit
-        self._inj_flips = None
-        self._inj_applied = False
-        self._inj_known = known_activation
-        self._watch_reg = None
-        self._activated = None
-        self._activation_index = None
-
-    def schedule_flip_set(
-        self,
-        dynamic_index: int,
-        flips: tuple[tuple[str, int], ...],
-        *,
-        known_activation: int | None = None,
-    ) -> None:
-        """Arm several bit flips striking atomically before dynamic
-        instruction ``dynamic_index`` of the next :meth:`run`.
-
-        Single-register sets (multi-bit upsets) keep the normal activation
-        watch; sets spanning registers (bursts) have no single register to
-        watch, so the report's ``activated`` stays ``None`` and callers
-        infer activation from divergence (exactly like memory faults).
-        ``known_activation`` is honored only for single-register sets.
-        """
-        flips = tuple(flips)
         if not flips:
             raise MachineConfigError("flip set must not be empty")
         for register, bit in flips:
@@ -373,8 +341,6 @@ class CPUCore:
         if dynamic_index < 0:
             raise MachineConfigError("dynamic_index must be non-negative")
         self._inj_index = dynamic_index
-        self._inj_reg = flips[0][0]
-        self._inj_bit = flips[0][1]
         self._inj_flips = flips
         self._inj_applied = False
         self._inj_known = known_activation
@@ -382,108 +348,32 @@ class CPUCore:
         self._activated = None
         self._activation_index = None
 
-    def arm_applied_flip_set(
-        self,
-        dynamic_index: int,
-        flips: tuple[tuple[str, int], ...],
-        *,
-        known_activation: int | None = None,
-    ) -> None:
-        """Apply a single-register flip set *now* (resume-side twin of
-        :meth:`schedule_flip_set`, mirroring :meth:`arm_applied_flip`).
-
-        Only legal for sets confined to one register: the lock-step scan's
-        no-access proof is per register, so a multi-register burst cannot
-        soundly fast-forward past its injection index this way.
-        """
-        flips = tuple(flips)
-        if not flips:
-            raise MachineConfigError("flip set must not be empty")
-        registers = {register for register, _ in flips}
-        if len(registers) != 1:
-            raise MachineConfigError(
-                "arm_applied_flip_set needs a single-register flip set"
-            )
-        register = flips[0][0]
-        reg_index = RegisterFile.index_of(register)
-        for _, bit in flips:
-            if not 0 <= bit < 64:
-                raise MachineConfigError(f"bit index {bit} outside [0, 64)")
-        if dynamic_index < 0:
-            raise MachineConfigError("dynamic_index must be non-negative")
-        self._inj_index = dynamic_index
-        self._inj_reg = register
-        self._inj_bit = flips[0][1]
-        self._inj_flips = flips
-        self._inj_applied = True
-        self._inj_known = None
-        self._activated = None
-        self._activation_index = None
-        for _, bit in flips:
-            self.regs.flip_bit(register, bit)
-        if reg_index == _RIP:
-            self._activated = True
-            self._activation_index = dynamic_index
-            self._watch_reg = None
-        elif known_activation is not None:
-            self._activated = True
-            self._activation_index = known_activation
-            self._watch_reg = None
-        else:
-            self._watch_reg = reg_index
-
     def arm_applied_flip(
         self,
         dynamic_index: int,
-        register: str,
-        bit: int,
-        *,
+        *flips: tuple[str, int],
         known_activation: int | None = None,
     ) -> None:
-        """Apply a flip *now* and arm only the activation watch.
+        """Apply one-register flips *now*, at a restored ladder rung, and
+        settle them as if they had struck at ``dynamic_index``.
 
-        Resume-side twin of :meth:`schedule_register_flip` for the
-        lock-step peel path: when the golden prefix provably never
-        touches ``register`` between the injection index and the restore
-        point, flipping the restored (golden) value is bit-identical to
-        having flipped it at ``dynamic_index`` — so the injector may
+        The lock-step peel path's primitive: when the golden prefix provably
+        never touches the register between the injection index and the
+        restore point, flipping the restored (golden) value is bit-identical
+        to having flipped it at ``dynamic_index`` — so the injector may
         fast-forward past the injection and re-apply the flip here.  The
-        report carries the original ``dynamic_index``.
-
-        With ``known_activation`` the watch is not armed at all: the
-        golden trace already proved the first access is a read at that
-        index, so the report is settled analytically and the run stays
-        eligible for translated execution throughout.
+        report carries the original ``dynamic_index``.  Only legal for flips
+        confined to one register: the scan's no-access proof is per
+        register, so a burst cannot fast-forward past its injection index.
         """
-        reg_index = RegisterFile.index_of(register)
-        if not 0 <= bit < 64:
-            raise MachineConfigError(f"bit index {bit} outside [0, 64)")
-        if dynamic_index < 0:
-            raise MachineConfigError("dynamic_index must be non-negative")
-        self._inj_index = dynamic_index
-        self._inj_reg = register
-        self._inj_bit = bit
-        self._inj_flips = None
-        self._inj_applied = True
-        self._inj_known = None
-        self._activated = None
-        self._activation_index = None
-        self.regs.flip_bit(register, bit)
-        if reg_index == _RIP:
-            self._activated = True
-            self._activation_index = dynamic_index
-            self._watch_reg = None
-        elif known_activation is not None:
-            self._activated = True
-            self._activation_index = known_activation
-            self._watch_reg = None
-        else:
-            self._watch_reg = reg_index
+        if len({register for register, _ in flips}) > 1:
+            raise MachineConfigError("arm_applied_flip needs flips in one register")
+        self.schedule_flip(dynamic_index, *flips, known_activation=known_activation)
+        self._settle(dynamic_index)
 
     def clear_injection(self) -> None:
         """Disarm any scheduled fault."""
         self._inj_index = None
-        self._inj_reg = None
         self._inj_flips = None
         self._inj_applied = False
         self._inj_known = None
@@ -491,58 +381,42 @@ class CPUCore:
 
     @property
     def injection_report(self) -> InjectionReport | None:
-        """Report of the most recently scheduled fault, if any."""
-        if self._inj_reg is None:
+        """Report of the most recently scheduled fault, if any (``register``
+        and ``bit`` name its first flip)."""
+        if self._inj_flips is None:
             return None
+        register, bit = self._inj_flips[0]
         return InjectionReport(
             applied=self._inj_applied,
-            register=self._inj_reg,
-            bit=self._inj_bit,
+            register=register,
+            bit=bit,
             dynamic_index=self._inj_index if self._inj_index is not None else -1,
             activated=self._activated,
             activation_index=self._activation_index,
         )
 
-    def _apply_injection(self, count: int) -> None:
-        # ``count`` is the dispatch loop's buffered dynamic-instruction count
-        # (the tracer's own counter lags it while the loop runs).
-        assert self._inj_reg is not None
-        flips = self._inj_flips
-        if flips is not None and len(flips) > 1:
-            self._apply_flip_set(flips, count)
-            return
-        self.regs.flip_bit(self._inj_reg, self._inj_bit)
+    def _settle(self, index: int) -> None:
+        """Apply the armed flips as striking at dynamic index ``index`` and
+        decide how activation is tracked."""
+        registers = set()
+        for register, bit in self._inj_flips:
+            self.regs.flip_bit(register, bit)
+            registers.add(RegisterFile.index_of(register))
         self._inj_applied = True
-        reg_index = RegisterFile.index_of(self._inj_reg)
-        if reg_index == _RIP:
+        if _RIP in registers:
             # Control is transferred through RIP on the very next fetch:
             # always activated, immediately.
             self._activated = True
-            self._activation_index = count
-        elif self._inj_known is not None:
-            # The lock-step scan proved the first access is a read at this
-            # index; settle the report without arming the watch so the run
-            # stays on the translated path.
-            self._activated = True
-            self._activation_index = self._inj_known
-        else:
-            self._watch_reg = reg_index
-
-    def _apply_flip_set(self, flips: tuple[tuple[str, int], ...], count: int) -> None:
-        for register, bit in flips:
-            self.regs.flip_bit(register, bit)
-        self._inj_applied = True
-        reg_indices = {RegisterFile.index_of(register) for register, _ in flips}
-        if _RIP in reg_indices:
-            self._activated = True
-            self._activation_index = count
-        elif len(reg_indices) == 1:
-            reg_index = next(iter(reg_indices))
+            self._activation_index = index
+        elif len(registers) == 1:
             if self._inj_known is not None:
+                # The lock-step scan proved the first access is a read at
+                # this index; settle the report without arming the watch so
+                # the run stays on the translated path.
                 self._activated = True
                 self._activation_index = self._inj_known
             else:
-                self._watch_reg = reg_index
+                self._watch_reg = registers.pop()
         # Multi-register burst: no single register to watch — the report's
         # ``activated`` stays None and callers infer it from divergence.
 
@@ -575,7 +449,7 @@ class CPUCore:
         """Restore state captured by :meth:`checkpoint_core`.
 
         Injection state is untouched; callers arming a fault do so *after*
-        restoring (as :meth:`schedule_register_flip` fully re-initializes it).
+        restoring (as :meth:`schedule_flip` fully re-initializes it).
         """
         self.regs.restore(checkpoint.regs)
         self.pmu.restore(checkpoint.pmu)
@@ -733,7 +607,7 @@ class CPUCore:
                     return None
                 rip = rvals[i_rip]
                 if injecting and count >= inj_index:
-                    self._apply_injection(count)
+                    self._settle(count)
                     injecting = False
                     watching = self._watch_reg is not None
                     fast = use_trans and not watching

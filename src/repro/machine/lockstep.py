@@ -30,8 +30,9 @@ instead of by execution:
 RIP and RFLAGS flips always peel (control is consumed on the very next
 fetch / flags have implicit readers), as do injection indices at or
 beyond the traced run (the scan refuses to guess; the per-trial path
-is the oracle).  The fixed-seed campaign is bit-identical with the
-batch scan on or off — ``--no-twin-batch`` forces the per-trial path.
+is the oracle).  Batched records are bit-identical to running every
+twin per-trial; the test suite holds the campaign to that against a
+per-trial reference.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ layer stays a pure blob index.
 from __future__ import annotations
 
 import json
-import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,8 +52,7 @@ __all__ = [
     "load_model",
     "save_records",
     "load_records",
-    "append_records_jsonl",
-    "iter_records_jsonl",
+    "malformed_as",
     "save_dataset",
     "load_dataset",
     "activation_to_dict",
@@ -67,6 +66,17 @@ __all__ = [
 _RULES_FORMAT = "xentry-rules-v1"
 _MODEL_FORMAT = "xentry-model-v1"
 _RECORDS_FORMAT = "xentry-records-v1"
+
+
+@contextmanager
+def malformed_as(error: type[Exception], path: str | Path) -> Iterator[None]:
+    """Re-raise what parsing a malformed saved file trips over — bad JSON,
+    undecodable bytes, a missing field, a value of the wrong shape — as
+    ``error`` naming ``path``, so a loader fails with one exception type."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
 # -- compiled rules -----------------------------------------------------------
@@ -88,10 +98,11 @@ def save_rules(rules: CompiledRules, path: str | Path) -> None:
 
 def load_rules(path: str | Path) -> CompiledRules:
     """Load a rule table saved by :func:`save_rules`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != _RULES_FORMAT:
-        raise DatasetError(f"{path}: not a {_RULES_FORMAT} file")
-    return _rules_from_payload(payload)
+    with malformed_as(DatasetError, path):
+        payload = json.loads(Path(path).read_text())
+        if payload.get("format") != _RULES_FORMAT:
+            raise DatasetError(f"{path}: not a {_RULES_FORMAT} file")
+        return _rules_from_payload(payload)
 
 
 def _rules_from_payload(payload: dict) -> CompiledRules:
@@ -184,14 +195,15 @@ def save_model(model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ModelArtifact:
     """Load a model saved by :func:`save_model`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != _MODEL_FORMAT:
-        raise DatasetError(f"{path}: not a {_MODEL_FORMAT} file")
-    return ModelArtifact(
-        name=payload["name"],
-        rules=_rules_from_payload(payload),
-        evaluation=payload["evaluation"],
-    )
+    with malformed_as(DatasetError, path):
+        payload = json.loads(Path(path).read_text())
+        if payload.get("format") != _MODEL_FORMAT:
+            raise DatasetError(f"{path}: not a {_MODEL_FORMAT} file")
+        return ModelArtifact(
+            name=payload["name"],
+            rules=_rules_from_payload(payload),
+            evaluation=payload["evaluation"],
+        )
 
 
 # -- campaign records -----------------------------------------------------------
@@ -309,7 +321,7 @@ def save_records(records, path: str | Path) -> int:
 
 def load_records(path: str | Path) -> tuple[TrialRecord, ...]:
     """Read trial records saved by :func:`save_records`."""
-    with open(path) as fh:
+    with malformed_as(DatasetError, path), open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("format") != _RECORDS_FORMAT:
             raise DatasetError(f"{path}: not a {_RECORDS_FORMAT} file")
@@ -320,39 +332,6 @@ def load_records(path: str | Path) -> tuple[TrialRecord, ...]:
             "(truncated file?)"
         )
     return records
-
-
-def append_records_jsonl(
-    records: Iterable[TrialRecord], path: str | Path, *, fsync: bool = False
-) -> int:
-    """Append trial records to a headerless JSONL stream; returns the count.
-
-    The streaming companion to :func:`save_records`: multi-hour campaigns
-    (and the engine's shard workers) can flush batches incrementally instead
-    of holding every record in memory for one final write.  ``fsync=True``
-    makes the batch durable before returning (the engine journals this way).
-    """
-    count = 0
-    with open(path, "a") as fh:
-        for record in records:
-            fh.write(json.dumps(_record_to_dict(record)) + "\n")
-            count += 1
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    return count
-
-
-def iter_records_jsonl(path: str | Path) -> Iterator[TrialRecord]:
-    """Stream trial records from a file written by :func:`append_records_jsonl`.
-
-    Yields records one at a time (constant memory); blank lines are skipped
-    so concatenated batch files parse cleanly.
-    """
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield _record_from_dict(json.loads(line))
 
 
 # -- golden-artifact structural codecs ----------------------------------------

@@ -292,7 +292,7 @@ class RecoveryExecutor:
         self._restore_critical()
         hv.cpu.clear_injection()
         if hazard is not None:
-            hv.cpu.schedule_register_flip(hazard.dynamic_index, hazard.register, hazard.bit)
+            hv.cpu.schedule_flip(hazard.dynamic_index, *hazard.flips)
         try:
             result = hv.execute(self._activation)
         except HardwareException as exc:
@@ -322,18 +322,14 @@ class RecoveryExecutor:
                 hv.cpu.clear_injection()
                 base = rung.index
                 if hazard is not None and hazard.dynamic_index >= rung.index:
-                    hv.cpu.schedule_register_flip(
-                        hazard.dynamic_index, hazard.register, hazard.bit
-                    )
+                    hv.cpu.schedule_flip(hazard.dynamic_index, *hazard.flips)
                 result = hv.resume_execution(self._activation)
             else:
                 # No ladder: whole-activation replay from the pre-run state.
                 hv.restore(golden.checkpoint)
                 hv.cpu.clear_injection()
                 if hazard is not None:
-                    hv.cpu.schedule_register_flip(
-                        hazard.dynamic_index, hazard.register, hazard.bit
-                    )
+                    hv.cpu.schedule_flip(hazard.dynamic_index, *hazard.flips)
                 result = hv.execute(self._activation)
         except HardwareException as exc:
             return _Attempt(

@@ -141,9 +141,7 @@ def _collect_inj_part(
         golden = capture_golden(hv, activation)
         hv.restore(golden.checkpoint)
         fault = config.fault_model.sample(fault_rng, golden.result.instructions)
-        hv.cpu.schedule_register_flip(
-            fault.dynamic_index, fault.register, fault.bit
-        )
+        hv.cpu.schedule_flip(fault.dynamic_index, *fault.flips)
         try:
             faulty = hv.execute(activation)
         except (HardwareException, AssertionViolation, SimulationLimitExceeded):

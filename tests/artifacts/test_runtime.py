@@ -18,9 +18,7 @@ from repro.counters import ARTIFACTS, LEDGER, view
 from repro.engine import CampaignEngine, ChaosPolicy, EngineTelemetry
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
-CONFIG = CampaignConfig(
-    n_injections=24, seed=7, benchmarks=("mcf", "postmark"), ladder_interval=16
-)
+CONFIG = CampaignConfig(n_injections=24, seed=7, benchmarks=("mcf", "postmark"))
 
 
 def run_campaign(config):

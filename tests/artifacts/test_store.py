@@ -2,22 +2,23 @@
 
 The digest is the cache's entire correctness story: two configs map to the
 same artifact exactly when their golden products are byte-identical.  Knobs
-that shape the golden capture (seed, workload geometry, ladder placement,
-twin-batch capture) must move the digest; knobs that only shape *trials*
-(fault model, recovery policy, translation, detection) must not — that is
-what lets a detector sweep share one warm cache.
+that shape the golden capture (seed, workload geometry, ladder placement)
+must move the digest; knobs that only shape *trials* (fault model, recovery
+policy, detection) must not — that is what lets a detector sweep share one
+warm cache.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.artifacts.codec import PLAN_PRESENT, ArtifactCorrupt, encode_group
+from repro.artifacts.codec import ArtifactCorrupt, encode_group
 from repro.artifacts.store import GoldenStore, golden_digest
-from repro.faults import CampaignConfig, capture_golden
+from repro.faults import CampaignConfig, campaign, capture_golden
 from repro.faults.injector import trace_plan
 from repro.faults.model import FaultModel
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.workloads import VirtMode
 
 CONFIG = CampaignConfig(n_injections=40, seed=11)
 
@@ -41,8 +42,8 @@ class TestDigestIdentity:
         {"seed": 12},
         {"n_domains": 4},
         {"warmup_activations": 6},
-        {"ladder_interval": 16},
-        {"twin_batch": False},
+        {"mode": VirtMode.HVM},
+        {"benchmarks": ("mcf", "postmark")},
         # Stream geometry: the workload generator bulk-draws the whole
         # activation-index array, so activation i depends on the total
         # stream length and stride, not just its own prefix.
@@ -53,13 +54,19 @@ class TestDigestIdentity:
     def test_golden_shaping_knobs_move_the_digest(self, change):
         assert digest(dataclasses.replace(CONFIG, **change)) != digest()
 
+    def test_ladder_interval_moves_the_digest(self, monkeypatch):
+        # Rung placement is part of the artifact.
+        before = digest()
+        monkeypatch.setattr(campaign, "LADDER_INTERVAL", 16)
+        assert digest() != before
+
     @pytest.mark.parametrize("change", [
         # Trial-only knobs: golden products are invariant, so sweeps over
         # them share one warm cache.
         {"fault_model": FaultModel(registers=("rip",))},
         {"fault_model": FaultModel(bits=(0, 7))},
-        {"recover": "reexecute", "recovery_hazard": 0.25},
-        {"translate": False},
+        {"recover": "reexecute"},
+        {"recover": "microreboot", "recovery_hazard": 0.25},
         {"artifacts": "elsewhere"},
     ])
     def test_trial_only_knobs_do_not_move_the_digest(self, change):
@@ -74,7 +81,7 @@ def encoded():
     golden = capture_golden(hv, activation, (), ladder_interval=0)
     plan = trace_plan(hv, activation, golden)
     d = digest()
-    return d, encode_group(d, golden, (PLAN_PRESENT, plan))
+    return d, encode_group(d, golden, plan)
 
 
 class TestGoldenStore:
@@ -87,7 +94,7 @@ class TestGoldenStore:
         assert store.path_for(d).read_bytes() == blob
         payload = store.load(d, registry=REGISTRY)
         assert payload is not None and payload.digest == d
-        assert payload.plan_state[0] == PLAN_PRESENT
+        assert payload.plan is not None
 
     def test_content_addressed_layout(self, tmp_path, encoded):
         d, blob = encoded

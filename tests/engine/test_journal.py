@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine.journal import TrialJournal, read_state
-from repro.errors import JournalError
+from repro.errors import DatasetError, JournalError
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
 
@@ -180,3 +180,19 @@ class TestIdentity:
         path.write_text(json.dumps({"format": "something-else"}) + "\n")
         with pytest.raises(JournalError, match="not a"):
             read_state(path)
+
+    @pytest.mark.parametrize("content", [
+        b"[1, 2]\n",                                # JSON, not an object
+        b'{"format": "xentry-journal-v1"}\n',       # header missing fields
+        b'{"format": "xentry-journal-v1", "digest": "d", "n_shards": 1, '
+        b'"total_trials": 1}\n{"kind": "trial"}\n',  # trial line missing fields
+        b"\xff\xfe\n",                              # not text
+    ])
+    def test_malformed_journal_is_a_journal_error(self, tmp_path, content):
+        # JournalError is a DatasetError: one type for every unreadable
+        # saved file, which the CLI turns into exit 2.
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(JournalError, match="j.jsonl") as info:
+            read_state(path)
+        assert isinstance(info.value, DatasetError)

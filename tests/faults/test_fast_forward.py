@@ -5,10 +5,9 @@ mid-run machine checkpoint at-or-before the injection index instead of
 re-executing the whole golden prefix.  These tests hold that optimization
 to the determinism contract: for *every* injection index, the fast-forward
 path must produce a trial record bit-identical to full re-execution, and
-campaign records must be invariant to the ladder interval and translation.
+campaign records must be invariant to the ladder interval and translation
+(held against the references in ``tests/faults/references.py``).
 """
-
-import dataclasses
 
 import pytest
 
@@ -20,6 +19,8 @@ from repro.faults import (
     run_trial,
 )
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+
+from tests.faults.references import interpreted_records, ladder_records
 
 
 def act(name: str, *args: int, seq=0) -> Activation:
@@ -116,12 +117,11 @@ class TestRecordsInvariance:
 
     @pytest.mark.parametrize("interval", [0, 1, 7, 500])
     def test_ladder_interval_does_not_change_records(self, reference, interval):
-        config = dataclasses.replace(self.CONFIG, ladder_interval=interval)
-        assert FaultInjectionCampaign(config).run().records == reference
+        assert ladder_records(self.CONFIG, interval) == reference
 
-    def test_disabling_translation_does_not_change_records(self, reference):
-        config = dataclasses.replace(self.CONFIG, translate=False)
-        assert FaultInjectionCampaign(config).run().records == reference
+    def test_disabling_translation_does_not_change_records(self, reference, ledger):
+        assert interpreted_records(self.CONFIG) == reference
+        assert ledger()["translated_instructions"] == 0
 
     def test_interval_zero_never_fast_forwards(self, ledger):
         hv = XenHypervisor(seed=31)

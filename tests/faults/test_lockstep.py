@@ -5,18 +5,16 @@ the next read, or never touched again) analytically and peels diverging
 twins into the per-trial path with a read-point resume hint.  These tests
 hold the scan to the determinism contract: for every injection index and
 register — including RIP/RFLAGS and indices past the traced run — the
-batched records must be bit-identical to per-trial execution, campaign
-records must be invariant to the ``twin_batch`` knob, and the knob must
-stay outside the config digest so journals interoperate.
+batched records must be bit-identical to per-trial execution, and so must
+a whole campaign's records against the per-trial reference in
+``tests/faults/references.py``.
 """
 
-import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from repro.engine.planner import plan_campaign
 from repro.faults import (
     CampaignConfig,
     FaultInjectionCampaign,
@@ -27,6 +25,8 @@ from repro.faults import (
 )
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.machine.lockstep import DEAD, PEEL, TwinPlan, classify_twin
+
+from tests.faults.references import per_trial_records
 
 
 def act(name: str, *args: int, seq=0) -> Activation:
@@ -130,7 +130,7 @@ class TestArmAppliedFlip:
         golden = capture_golden(hv, activation)
         hv.restore(golden.checkpoint)
         before = hv.cpu.regs.read("rbx")
-        hv.cpu.arm_applied_flip(7, "rbx", 5)
+        hv.cpu.arm_applied_flip(7, ("rbx", 5))
         assert hv.cpu.regs.read("rbx") == before ^ (1 << 5)
         report = hv.cpu.injection_report
         assert report.applied and report.activated is None
@@ -139,7 +139,7 @@ class TestArmAppliedFlip:
         hv = XenHypervisor(seed=23)
         golden = capture_golden(hv, act("apic_timer", 3))
         hv.restore(golden.checkpoint)
-        hv.cpu.arm_applied_flip(7, "rip", 2)
+        hv.cpu.arm_applied_flip(7, ("rip", 2))
         report = hv.cpu.injection_report
         assert report.applied and report.activated
         assert report.activation_index == 7
@@ -147,9 +147,29 @@ class TestArmAppliedFlip:
     def test_rejects_bad_arguments(self):
         hv = XenHypervisor(seed=23)
         with pytest.raises(Exception):
-            hv.cpu.arm_applied_flip(0, "not_a_register", 0)
+            hv.cpu.arm_applied_flip(0, ("not_a_register", 0))
         with pytest.raises(Exception):
-            hv.cpu.arm_applied_flip(0, "rbx", 64)
+            hv.cpu.arm_applied_flip(0, ("rbx", 64))
+        with pytest.raises(Exception):
+            hv.cpu.arm_applied_flip(0)
+
+    def test_multi_bit_flip_applies_every_bit(self):
+        hv = XenHypervisor(seed=23)
+        golden = capture_golden(hv, act("apic_timer", 3))
+        hv.restore(golden.checkpoint)
+        before = hv.cpu.regs.read("rbx")
+        hv.cpu.arm_applied_flip(7, ("rbx", 5), ("rbx", 9), known_activation=11)
+        assert hv.cpu.regs.read("rbx") == before ^ (1 << 5) ^ (1 << 9)
+        report = hv.cpu.injection_report
+        assert report.applied and report.activated
+        assert (report.dynamic_index, report.activation_index) == (7, 11)
+
+    def test_rejects_flips_across_registers(self):
+        # The scan's no-access proof is per register: a burst may not be
+        # re-applied past its injection index.
+        hv = XenHypervisor(seed=23)
+        with pytest.raises(Exception):
+            hv.cpu.arm_applied_flip(0, ("rbx", 1), ("rcx", 2))
 
 
 class TestTwinBatchEquivalence:
@@ -205,23 +225,15 @@ class TestTwinBatchEquivalence:
 
 
 class TestCampaignBitIdentity:
-    """Blocking gate: the fixed-seed campaign is invariant to the knob."""
+    """Blocking gate: the fixed-seed campaign's batched records equal the
+    per-trial reference's."""
 
     CONFIG = CampaignConfig(n_injections=2000, seed=5)
 
-    def test_2000_injection_campaign_identical_without_twin_batch(self):
-        assert self.CONFIG.twin_batch  # on by default
-        on = FaultInjectionCampaign(self.CONFIG).run().records
-        off_config = dataclasses.replace(self.CONFIG, twin_batch=False)
-        off = FaultInjectionCampaign(off_config).run().records
-        assert on == off
-
-    def test_twin_batch_outside_config_digest(self):
-        on = plan_campaign(self.CONFIG, 4).digest
-        off = plan_campaign(
-            dataclasses.replace(self.CONFIG, twin_batch=False), 4
-        ).digest
-        assert on == off
+    def test_2000_injection_campaign_identical_without_twin_batch(self, ledger):
+        batched = FaultInjectionCampaign(self.CONFIG).run().records
+        assert ledger()["dead_twins"] > 0  # the scan really settled twins
+        assert batched == per_trial_records(self.CONFIG)
 
 
 class TestDifferentialFuzz:

@@ -79,7 +79,7 @@ class TestPerCoreExecution:
 
     def test_injection_on_one_core_leaves_others_clean(self, smp):
         smp.reset()
-        smp.cores[2].schedule_register_flip(3, "rbp", 41)
+        smp.cores[2].schedule_flip(3, ("rbp", 41))
         with pytest.raises(HardwareException):
             smp.execute(act("mmu_update", 8, 1), core_id=2)
         # Core 0 still executes the same activation cleanly.

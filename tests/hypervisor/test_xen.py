@@ -229,7 +229,7 @@ class TestAssertionsUnderCorruption:
         detected = False
         for idx in range(golden.instructions):
             hv.reset()
-            hv.cpu.schedule_register_flip(idx, "r11", 0)
+            hv.cpu.schedule_flip(idx, ("r11", 0))
             try:
                 hv.execute(a)
             except AssertionViolation as exc:

@@ -263,7 +263,7 @@ class TestRepMovs:
         baseline = cpu.run(prog, prog.address_of("entry"))
         cpu2 = CPUCore(0, memory)
         cpu2.regs["rsp"] = STACK_TOP
-        cpu2.schedule_register_flip(3, "rcx", 4)  # 8 -> 24 words
+        cpu2.schedule_flip(3, ("rcx", 4))  # 8 -> 24 words
         res = cpu2.run(prog, prog.address_of("entry"))
         assert res.instructions > baseline.instructions
         assert res.path_hash != baseline.path_hash
@@ -276,25 +276,25 @@ class TestRepMovs:
 
 class TestInjection:
     def test_flip_applied_at_dynamic_index(self, cpu, assemble):
-        cpu.schedule_register_flip(1, "rax", 3)
+        cpu.schedule_flip(1, ("rax", 3))
         run(cpu, assemble, "entry:\n mov rax, 0\n mov rbx, rax\n vmentry")
         assert cpu.regs["rbx"] == 8  # flip landed before the copy
         report = cpu.injection_report
         assert report.applied and report.activated
 
     def test_overwrite_before_read_is_not_activated(self, cpu, assemble):
-        cpu.schedule_register_flip(1, "rbx", 5)
+        cpu.schedule_flip(1, ("rbx", 5))
         run(cpu, assemble, "entry:\n mov rax, 1\n mov rbx, 7\n mov rcx, rbx\n vmentry")
         assert cpu.injection_report.activated is False
         assert cpu.regs["rcx"] == 7  # value fully masked
 
     def test_never_touched_register_is_not_activated(self, cpu, assemble):
-        cpu.schedule_register_flip(0, "r15", 1)
+        cpu.schedule_flip(0, ("r15", 1))
         run(cpu, assemble, "entry:\n mov rax, 1\n vmentry")
         assert cpu.injection_report.activated is None
 
     def test_rip_flip_always_activated(self, cpu, assemble):
-        cpu.schedule_register_flip(1, "rip", 60)  # lands non-canonical
+        cpu.schedule_flip(1, ("rip", 60))  # lands non-canonical
         with pytest.raises(HardwareException):
             run(cpu, assemble, "entry:\n nop\n nop\n nop\n vmentry")
         assert cpu.injection_report.activated is True
@@ -314,7 +314,7 @@ class TestInjection:
         golden = cpu.run(prog, prog.address_of("entry"))
         cpu2 = CPUCore(0, cpu.memory)
         cpu2.regs["rsp"] = STACK_TOP
-        cpu2.schedule_register_flip(1, "rip", 3)
+        cpu2.schedule_flip(1, ("rip", 3))
         res = cpu2.run(prog, prog.address_of("entry"))
         assert res.exit_op is Op.VMENTRY           # still terminates legally
         assert res.instructions < golden.instructions  # skipped instructions
@@ -337,28 +337,47 @@ class TestInjection:
         assert cpu.regs["rbx"] == 222
         cpu2 = CPUCore(0, cpu.memory)
         cpu2.regs["rsp"] = STACK_TOP
-        cpu2.schedule_register_flip(2, "rflags", 6)  # clear ZF before je
+        cpu2.schedule_flip(2, ("rflags", 6))  # clear ZF before je
         cpu2.run(prog, prog.address_of("entry"))
         assert cpu2.regs["rbx"] == 111
         assert cpu2.injection_report.activated is True
 
     def test_injection_validation(self, cpu):
         with pytest.raises(MachineConfigError):
-            cpu.schedule_register_flip(0, "bogus", 1)
+            cpu.schedule_flip(0, ("bogus", 1))
         with pytest.raises(MachineConfigError):
-            cpu.schedule_register_flip(0, "rax", 64)
+            cpu.schedule_flip(0, ("rax", 64))
         with pytest.raises(MachineConfigError):
-            cpu.schedule_register_flip(-1, "rax", 0)
+            cpu.schedule_flip(-1, ("rax", 0))
+
+    def test_flip_set_in_one_register_keeps_the_watch(self, cpu, assemble):
+        cpu.schedule_flip(1, ("rax", 3), ("rax", 4))
+        run(cpu, assemble, "entry:\n mov rax, 0\n mov rbx, rax\n vmentry")
+        assert cpu.regs["rbx"] == 24  # both bits landed before the copy
+        report = cpu.injection_report
+        assert report.applied and report.activated
+        assert (report.register, report.bit) == ("rax", 3)
+
+    def test_burst_across_registers_leaves_activation_open(self, cpu, assemble):
+        cpu.schedule_flip(1, ("rax", 3), ("rcx", 1))
+        run(cpu, assemble, "entry:\n mov rax, 0\n mov rbx, rax\n vmentry")
+        assert cpu.regs["rbx"] == 8 and cpu.regs["rcx"] == 2
+        report = cpu.injection_report
+        assert report.applied and report.activated is None
+
+    def test_empty_flip_set_rejected(self, cpu):
+        with pytest.raises(MachineConfigError):
+            cpu.schedule_flip(0)
 
     def test_clear_injection_disarms(self, cpu, assemble):
-        cpu.schedule_register_flip(0, "rax", 0)
+        cpu.schedule_flip(0, ("rax", 0))
         cpu.clear_injection()
         run(cpu, assemble, "entry:\n mov rbx, rax\n vmentry")
         assert cpu.regs["rbx"] == 0
         assert cpu.injection_report is None
 
     def test_injection_beyond_run_never_applies(self, cpu, assemble):
-        cpu.schedule_register_flip(10_000, "rax", 0)
+        cpu.schedule_flip(10_000, ("rax", 0))
         run(cpu, assemble, "entry:\n nop\n vmentry")
         assert cpu.injection_report.applied is False
 

@@ -28,6 +28,8 @@ from repro.faults import (
 from repro.persist import load_records, save_records
 from repro.scenarios import scenario_from_dict
 
+from tests.faults.references import per_trial_records
+
 MIXED = {
     "name": "mixed",
     "faults": {
@@ -41,13 +43,8 @@ MIXED = {
 BASE = CampaignConfig(benchmarks=("mcf",), n_injections=40, seed=3)
 
 
-def mixed_config(**overrides):
-    config = scenario_from_dict(MIXED).apply(BASE)
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
-    return config
+def mixed_config():
+    return scenario_from_dict(MIXED).apply(BASE)
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +104,7 @@ class TestMixedScenario:
         assert again == mixed_records
 
     def test_twin_batch_matches_per_trial(self, mixed_records):
-        config = mixed_config(twin_batch=False)
-        assert FaultInjectionCampaign(config).run().records == mixed_records
+        assert per_trial_records(mixed_config()) == mixed_records
 
     def test_sharded_engine_matches_serial(self, mixed_records):
         result = CampaignEngine(mixed_config(), jobs=1, n_shards=3).run()

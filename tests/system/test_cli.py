@@ -6,10 +6,23 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.engine import CampaignEngine
-from repro.faults import FaultInjectionCampaign, FaultSpec
+from repro.engine import CampaignEngine, config_digest
+from repro.engine.journal import SampleJournal, TrialJournal
+from repro.faults import CampaignConfig, FaultInjectionCampaign, FaultSpec
 from repro.faults.outcomes import DetectionTechnique, FailureClass, TrialRecord
 from repro.persist import save_records
+
+
+#: Input files the bad-value cases name that exist but cannot be read back.
+MALFORMED_INPUTS = {
+    "empty.jsonl": b"",
+    "garbage.jsonl": b"\xff\xfe not text, not JSON\n",
+    "fieldless.jsonl": b'{"format": "xentry-records-v1", "count": 1}\n{"benchmark": "mcf"}\n',
+    "fieldless-journal.jsonl": b'{"format": "xentry-journal-v1"}\n',
+    "garbage-journals/train.samples.jsonl": b"not a journal\n",
+    "garbage-journals/test.samples.jsonl": b"not a journal\n",
+    "garbage-model.json": b"not json",
+}
 
 
 class TestParser:
@@ -189,7 +202,9 @@ class TestExecution:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--trace", "--no-golden-cache"])
+    @pytest.mark.parametrize(
+        "flag", ["--trace", "--no-golden-cache", "--no-translate", "--no-twin-batch"]
+    )
     def test_trace_and_cache_flags_are_unrecognized(
         self, capsys, monkeypatch, flag
     ):
@@ -230,9 +245,15 @@ class TestExecution:
         ("serve", "--port", "70000"),
         ("campaign", "--output", "missing-dir/x.jsonl"),
         ("campaign", "--records-from", "missing.jsonl"),
+        ("campaign", "--records-from", "empty.jsonl"),
+        ("campaign", "--records-from", "garbage.jsonl"),
+        ("campaign", "--records-from", "fieldless.jsonl"),
+        ("campaign", "--records-from", "fieldless-journal.jsonl"),
         ("train", "--save-model", "missing-dir/m.json"),
         ("train", "--save-rules", "missing-dir/r.json"),
         ("train", "--datasets-from", "missing-dir"),
+        ("train", "--datasets-from", "garbage-journals"),
+        ("serve", "--model", "garbage-model.json"),
         ("info", "--domains", "0"),
         ("rates", "--seconds", "0"),
     ])
@@ -244,10 +265,14 @@ class TestExecution:
             raise AssertionError("work started before the bad value was rejected")
 
         monkeypatch.setattr(cli, "_train", no_work)
-        monkeypatch.setattr(cli, "load_model", no_work)
+        monkeypatch.setattr(cli, "DetectionService", no_work)
+        for name, content in MALFORMED_INPUTS.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(content)
         argv = [command]
         if command == "serve":
-            # Otherwise valid: an existing model file and a stop condition.
+            # A stop condition, and a model file (itself malformed, so a
+            # case that reaches the model load fails naming --model).
             (tmp_path / "m.json").write_text("{}")
             argv += ["--model", "m.json", "--max-rows", "10"]
         try:
@@ -256,6 +281,31 @@ class TestExecution:
             code = exc.code
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("campaign", ["--journal", "run.jsonl"], "--journal"),
+        ("campaign", ["--journal", "other.jsonl", "--resume"], "--resume"),
+        ("campaign", ["--journal", "garbage.jsonl", "--resume"], "--journal"),
+        ("train", ["--journal-dir", "runs"], "--journal-dir"),
+    ])
+    def test_journal_conflicts_exit_2_before_training(
+        self, capsys, tmp_path, monkeypatch, command, flags, named
+    ):
+        """An existing journal without --resume, or another campaign's
+        journal with it, fails before detector training starts."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_train", lambda args: pytest.fail("training started"))
+        config = CampaignConfig(n_injections=6000, seed=5)
+        TrialJournal.create("run.jsonl", digest=config_digest(config),
+                            n_shards=4, total_trials=6000).close()
+        TrialJournal.create("other.jsonl", digest="0" * 32,
+                            n_shards=4, total_trials=6000).close()
+        (tmp_path / "garbage.jsonl").write_text("not a journal\n")
+        (tmp_path / "runs").mkdir()
+        SampleJournal.create("runs/train.samples.jsonl", digest="0" * 32,
+                             n_shards=4, total_trials=10).close()
+        assert main([command, "--scale", "0.02", *flags]) == 2
+        assert named in capsys.readouterr().err
 
     def test_manifest_counters_match_the_summary(self, capsys, tmp_path):
         """Serial and pooled journalled campaigns print the campaign phase's

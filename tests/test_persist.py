@@ -17,8 +17,6 @@ from repro.faults.outcomes import (
 from repro.ml import Dataset, DecisionTreeClassifier, compile_tree
 from repro.persist import (
     ModelArtifact,
-    append_records_jsonl,
-    iter_records_jsonl,
     load_dataset,
     load_model,
     load_records,
@@ -122,6 +120,13 @@ class TestModels:
         with pytest.raises(DatasetError, match="xentry-model-v1"):
             load_model(path)
 
+    @pytest.mark.parametrize("content", ["not json", "[]", '{"format": "xentry-model-v1"}'])
+    def test_malformed_model_raises_dataset_error(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_text(content)
+        with pytest.raises(DatasetError, match="model.json"):
+            load_model(path)
+
     def test_model_without_rules_rejected(self, tmp_path, model):
         from dataclasses import replace
 
@@ -149,6 +154,18 @@ class TestRecords:
         with pytest.raises(DatasetError, match="truncated"):
             load_records(path)
 
+    @pytest.mark.parametrize("content", [
+        b"",
+        b"\xff\xfe not text\n",
+        b'{"format": "xentry-records-v1", "count": 1}\n{"benchmark": "mcf"}\n',
+        b'{"format": "xentry-records-v1", "count": 1}\nnot json\n',
+    ])
+    def test_malformed_file_raises_dataset_error(self, tmp_path, content):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(DatasetError, match="records.jsonl"):
+            load_records(path)
+
     def test_records_are_analyzable_after_reload(self, tmp_path, records):
         from repro.analysis import coverage_by_technique
 
@@ -159,35 +176,6 @@ class TestRecords:
             coverage_by_technique(reloaded).coverage
             == coverage_by_technique(records).coverage
         )
-
-
-class TestJsonlStreaming:
-    """Append-safe JSONL: the streaming substrate under the engine journal."""
-
-    @pytest.fixture(scope="class")
-    def records(self):
-        cfg = CampaignConfig(benchmarks=("mcf",), n_injections=40, seed=6)
-        return FaultInjectionCampaign(cfg).run().records
-
-    def test_appends_accumulate(self, tmp_path, records):
-        path = tmp_path / "stream.jsonl"
-        assert append_records_jsonl(records[:15], path) == 15
-        assert append_records_jsonl(records[15:], path, fsync=True) == 25
-        assert tuple(iter_records_jsonl(path)) == records
-
-    def test_iteration_is_lazy(self, tmp_path, records):
-        path = tmp_path / "stream.jsonl"
-        append_records_jsonl(records, path)
-        it = iter_records_jsonl(path)
-        assert next(it) == records[0]  # no full read required
-
-    def test_blank_lines_skipped(self, tmp_path, records):
-        path = tmp_path / "stream.jsonl"
-        append_records_jsonl(records[:3], path)
-        with open(path, "a") as fh:
-            fh.write("\n\n")
-        append_records_jsonl(records[3:6], path)
-        assert tuple(iter_records_jsonl(path)) == records[:6]
 
     def test_roundtrip_of_every_enum_and_none_combination(self, tmp_path):
         """Synthetic records exercising the full field space, not just the
@@ -223,8 +211,8 @@ class TestJsonlStreaming:
                 )
             )
         path = tmp_path / "specimens.jsonl"
-        append_records_jsonl(specimens, path)
-        loaded = tuple(iter_records_jsonl(path))
+        save_records(specimens, path)
+        loaded = load_records(path)
         assert loaded == tuple(specimens)
         # Enum fields come back as real enums, not their string values.
         assert isinstance(loaded[0].failure_class, FailureClass)

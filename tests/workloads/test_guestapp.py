@@ -117,7 +117,7 @@ class TestAgreementWithRuleClassifier:
                 examined += 1
                 # Re-execute the faulty run and let the app consume it.
                 hv.restore(golden.checkpoint)
-                hv.cpu.schedule_register_flip(idx, "rbx", bit)
+                hv.cpu.schedule_flip(idx, ("rbx", bit))
                 try:
                     hv.execute(activation)
                 except (HardwareException, AssertionViolation, SimulationLimitExceeded):

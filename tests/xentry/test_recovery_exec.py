@@ -50,7 +50,7 @@ class TestRecoveryFromRealFaults:
         golden_outputs = hv.read_outputs(activation)
         hv.reset()
         # Same activation, with a fault that kills the first attempt.
-        hv.cpu.schedule_register_flip(4, "r12", 43)
+        hv.cpu.schedule_flip(4, ("r12", 43))
         outcome = manager.protect(activation)
         assert outcome.detected and outcome.recovered
         assert outcome.result is not None
@@ -62,7 +62,7 @@ class TestRecoveryFromRealFaults:
         hv = manager.xentry.hv
         hv.reset()
         activation = act("do_irq", 7)
-        hv.cpu.schedule_register_flip(1, "rdi", 44)  # vector out of range
+        hv.cpu.schedule_flip(1, ("rdi", 44))  # vector out of range
         outcome = manager.protect(activation)
         assert outcome.recovered
         assert "recovered after" in outcome.detail
@@ -79,7 +79,7 @@ class TestRecoveryFromRealFaults:
         clean_critical = manager.snapshot_critical()
         hv.reset()
         # Fault late in the handler so partial writes have happened.
-        hv.cpu.schedule_register_flip(clean.instructions // 2, "rbp", 41)
+        hv.cpu.schedule_flip(clean.instructions // 2, ("rbp", 41))
         outcome = manager.protect(activation)
         assert outcome.recovered
         # Every critical (non-scratch) word matches the clean execution.
@@ -132,7 +132,7 @@ class TestPersistentFaultUnrecoverable:
         def rearming_execute(activation_, **kwargs):
             # The persistent-fault model: the same bit flips again on every
             # execution, defeating clear_injection between attempts.
-            hv.cpu.schedule_register_flip(4, "r12", 43)
+            hv.cpu.schedule_flip(4, ("r12", 43))
             return original_execute(activation_, **kwargs)
 
         hv.execute = rearming_execute
@@ -154,6 +154,6 @@ class TestPersistentFaultUnrecoverable:
     def test_recovered_outcome_counts_its_attempts(self, manager):
         hv = manager.xentry.hv
         hv.reset()
-        hv.cpu.schedule_register_flip(4, "r12", 43)
+        hv.cpu.schedule_flip(4, ("r12", 43))
         outcome = manager.protect(act("event_channel_op", 9, 0, domain=2))
         assert outcome.recovered and outcome.attempts == 1

@@ -34,6 +34,8 @@ from repro.xentry import (
     policy_from_name,
 )
 
+from tests.faults.references import per_trial_records
+
 BENCHMARKS = ("mcf", "postmark")
 
 
@@ -43,17 +45,22 @@ def run_campaign(
     n: int = 120,
     seed: int = 3,
     hazard: float = 0.0,
-    twin_batch: bool = True,
 ):
-    config = CampaignConfig(
+    return FaultInjectionCampaign(
+        campaign_config(recover=recover, n=n, seed=seed, hazard=hazard)
+    ).run()
+
+
+def campaign_config(
+    *, recover: str | None, n: int = 120, seed: int = 3, hazard: float = 0.0
+) -> CampaignConfig:
+    return CampaignConfig(
         benchmarks=BENCHMARKS,
         n_injections=n,
         seed=seed,
         recover=recover,
         recovery_hazard=hazard,
-        twin_batch=twin_batch,
     )
-    return FaultInjectionCampaign(config).run()
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +168,10 @@ class TestCampaignRecovery:
 
     def test_twin_batch_invariance_holds_with_recovery(self):
         batched = run_campaign(recover="microreboot", n=60, seed=9)
-        per_trial = run_campaign(recover="microreboot", n=60, seed=9,
-                                 twin_batch=False)
-        assert batched.records == per_trial.records
+        per_trial = per_trial_records(
+            campaign_config(recover="microreboot", n=60, seed=9)
+        )
+        assert batched.records == per_trial
 
     def test_detection_only_records_unchanged_by_feature(self):
         """recover=None must reproduce the pre-recovery campaign exactly."""
